@@ -3,7 +3,7 @@ package panda
 // Benchmarks: one per table/figure of the paper's evaluation (§V), sized so
 // `go test -bench=. -benchmem` completes in minutes on one core. These
 // exercise the same code paths as cmd/panda-bench; run that binary for the
-// full paper-style reports (see EXPERIMENTS.md).
+// full paper-style reports.
 
 import (
 	"testing"

@@ -1,6 +1,5 @@
 // Command panda-bench regenerates the tables and figures of the PANDA
-// paper's evaluation section on the simulated cluster. See DESIGN.md for
-// the experiment index and EXPERIMENTS.md for recorded outputs.
+// paper's evaluation section on the simulated cluster.
 //
 // Usage:
 //

@@ -28,8 +28,7 @@
 // One process can serve several datasets: repeat -snapshot with name=path
 // entries, or point -snapshot-dir at a directory of .pnds files (each file
 // becomes a tenant named after its base name). The first tenant listed is
-// the default — the one legacy (pre-v3) clients and clients with an empty
-// dataset selector bind to. Clients pick a tenant at handshake with
+// the default — the one clients with an empty dataset selector bind to. Clients pick a tenant at handshake with
 // panda.DialDataset / panda-query -tenant:
 //
 //	panda-serve -snapshot cosmo=cosmo.pnds -snapshot plasma=plasma.pnds -addr :7077
@@ -349,7 +348,7 @@ func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr
 	var srv *server.Server
 	if len(tenants) > 0 && (len(tenants) > 1 || tenants[0].name != proto.DefaultDataset) {
 		// Registry mode: every tenant warm-starts from its snapshot; the
-		// first listed is the default for legacy and unselective clients.
+		// first listed is the default for unselective clients.
 		if threads <= 0 {
 			threads = runtime.GOMAXPROCS(0)
 		}

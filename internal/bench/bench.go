@@ -27,8 +27,8 @@ import (
 type Config struct {
 	// Out receives the report text.
 	Out io.Writer
-	// Scale multiplies every dataset size (1.0 = the defaults documented
-	// in EXPERIMENTS.md; use e.g. 0.1 for a quick pass).
+	// Scale multiplies every dataset size (1.0 = each experiment's default
+	// size; use e.g. 0.1 for a quick pass).
 	Scale float64
 	// Rates is the cost model (zero value = simtime.DefaultRates()).
 	Rates simtime.Rates

@@ -108,7 +108,7 @@ func TestFromRawRejectsHostile(t *testing.T) {
 	n := len(base.IDs)
 
 	cases := map[string]func() Raw{
-		"bad dims":       func() Raw { r := base; r.Dims = 0; return r },
+		"bad dims": func() Raw { r := base; r.Dims = 0; return r },
 		"coords not multiple": func() Raw {
 			r := base
 			r.Coords = base.Coords[:len(base.Coords)-1]

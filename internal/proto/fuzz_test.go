@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -18,13 +19,13 @@ func FuzzReadHello(f *testing.F) {
 	f.Add(AppendHello(nil, "default"))
 	f.Add(AppendHello(nil, "genomes.v2"))
 	f.Add(AppendHello(nil, strings.Repeat("x", MaxDatasetName)))
-	f.Add(AppendLegacyHello(nil, 1))
-	f.Add(AppendLegacyHello(nil, 2))
+	f.Add(helloPrefix(1))
+	f.Add(helloPrefix(2))
 	// Hostile names hand-framed past AppendHello's own validation: over-long
 	// length prefix, NUL bytes, invalid UTF-8.
-	f.Add(append(AppendLegacyHello(nil, Version), 0xFF, 0xFF, 0xFF, 0xFF))
-	f.Add(append(AppendLegacyHello(nil, Version), 3, 0, 0, 0, 'a', 0, 'b'))
-	f.Add(append(AppendLegacyHello(nil, Version), 2, 0, 0, 0, 0xC3, 0x28))
+	f.Add(append(helloPrefix(Version), 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Add(append(helloPrefix(Version), 3, 0, 0, 0, 'a', 0, 'b'))
+	f.Add(append(helloPrefix(Version), 2, 0, 0, 0, 0xC3, 0x28))
 	f.Add([]byte("PNDQ"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -32,9 +33,8 @@ func FuzzReadHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// ReadHello passes unknown future versions through (the caller
-		// rejects them after answering with its own version), but never with
-		// a dataset name attached.
+		// ReadHello passes other versions through (the caller rejects them),
+		// but never with a dataset name attached.
 		if h.Dataset != "" {
 			if h.Version != Version {
 				t.Fatalf("accepted dataset name on non-v3 version %d", h.Version)
@@ -50,7 +50,7 @@ func FuzzReadHello(f *testing.F) {
 		if h.Version == Version {
 			out = AppendHello(nil, h.Dataset)
 		} else {
-			out = AppendLegacyHello(nil, h.Version)
+			out = helloPrefix(h.Version)
 		}
 		if !bytes.Equal(out, raw[:len(out)]) {
 			t.Fatalf("reencode mismatch:\n got %x\nwant %x", out, raw)
@@ -65,8 +65,9 @@ func FuzzReadWelcome(f *testing.F) {
 	f.Add(AppendWelcome(nil, DatasetID{Name: "default", Dims: 3, Points: 100, Fingerprint: 1}))
 	f.Add(AppendWelcome(nil, DatasetID{Name: "genomes.v2", Dims: 64, Points: 1 << 40, Fingerprint: ^uint64(0)}))
 	f.Add(AppendWelcome(nil, DatasetID{Name: "missing"})) // unknown-dataset refusal
-	f.Add(AppendLegacyWelcome(nil, 1, 3, 100))
-	f.Add(AppendLegacyWelcome(nil, 2, 7, 123456))
+	// 20-byte welcomes of other versions, as a pre-v3 server would send.
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(helloPrefix(1), 3), 100))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(helloPrefix(2), 7), 123456))
 	f.Add([]byte("PNDQ"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -95,8 +96,8 @@ func FuzzConsumeRequest(f *testing.F) {
 	f.Add(AppendKNNRequest(nil, 1, 5, []float32{1, 2, 3}, 3), 3)
 	f.Add(AppendKNNRequest(nil, 2, 8, []float32{1, 2, 3, 4, 5, 6}, 3), 3)
 	f.Add(AppendRadiusRequest(nil, 3, 0.5, []float32{1, 2}), 2)
-	f.Add(AppendRemoteKNNRequest(nil, 4, 5, 0.25, []float32{1, 2, 3}), 3)
-	f.Add(AppendRemoteRadiusRequest(nil, 5, 0.75, []float32{1, 2}), 2)
+	f.Add(AppendShardRemoteKNNRequest(nil, 4, 0, 5, 0.25, []float32{1, 2, 3}), 3)
+	f.Add(AppendShardRadiusRequest(nil, 5, 0, 0.75, []float32{1, 2}), 2)
 	f.Add(AppendStatsRequest(nil, 6), 2)
 	f.Add(AppendPingRequest(nil, 7), 2)
 	f.Add(AppendShardKNNRequest(nil, 8, 2, 5, []float32{1, 2, 3}, 3), 3)
@@ -130,11 +131,11 @@ func FuzzConsumeRequest(f *testing.F) {
 			if req.K < 1 || req.K > MaxK || req.NQ < 1 || req.NQ*dims != len(req.Coords) {
 				t.Fatalf("accepted invalid KNN request %+v (dims %d)", req, dims)
 			}
-		case KindRadius, KindRemoteRadius, KindShardRadius:
+		case KindRadius, KindShardRadius:
 			if len(req.Coords) != dims || req.R2-req.R2 != 0 {
 				t.Fatalf("accepted invalid radius request %+v (dims %d)", req, dims)
 			}
-		case KindRemoteKNN, KindShardRemoteKNN:
+		case KindShardRemoteKNN:
 			if req.K < 1 || req.K > MaxK || len(req.Coords) != dims || req.R2-req.R2 != 0 {
 				t.Fatalf("accepted invalid remote KNN request %+v (dims %d)", req, dims)
 			}
@@ -159,10 +160,6 @@ func FuzzConsumeRequest(f *testing.F) {
 			out = AppendKNNRequest(nil, req.ID, req.K, req.Coords, dims)
 		case KindRadius:
 			out = AppendRadiusRequest(nil, req.ID, req.R2, req.Coords)
-		case KindRemoteKNN:
-			out = AppendRemoteKNNRequest(nil, req.ID, req.K, req.R2, req.Coords)
-		case KindRemoteRadius:
-			out = AppendRemoteRadiusRequest(nil, req.ID, req.R2, req.Coords)
 		case KindStats:
 			out = AppendStatsRequest(nil, req.ID)
 		case KindPing:

@@ -12,34 +12,26 @@
 //
 //	magic   [4]byte "PNDQ"
 //	version uint32  3
-//	dlen    uint32  dataset name length (version 3 only; 0 = default tenant)
-//	dataset dlen bytes (version 3 only)
+//	dlen    uint32  dataset name length (0 = default tenant)
+//	dataset dlen bytes
 //
 // and the server answers
 //
 //	magic   [4]byte "PNDQ"
-//	version uint32  3   (the version the server will speak)
-//	dims    uint32      dimensionality of the served tree
-//	points  uint64      number of indexed points
-//	fp      uint64      content fingerprint of the served tree (version 3 only)
-//	nlen    uint32      canonical dataset name length (version 3 only)
-//	name    nlen bytes  (version 3 only)
+//	version uint32  3
+//	dims    uint32  dimensionality of the served tree
+//	points  uint64  number of indexed points
+//	fp      uint64  content fingerprint of the served tree
+//	nlen    uint32  canonical dataset name length
+//	name    nlen bytes
 //
-// Dims, points, fp, and name together form the dataset id: the canonical
-// identity of the tenant the connection is bound to. A multi-tenant server
-// routes the connection to the tenant the hello named (empty = default);
-// an unknown dataset is rejected with a version-3 welcome echoing the
-// requested name with zeroed dims/points/fp, then the connection closes.
-//
-// Versions 1 and 2 are the legacy single-tenant handshake: an 8-byte hello
-// with no dataset name, answered by a 20-byte welcome (no fingerprint or
-// name) that echoes the client's version. A v3 server still accepts them
-// and binds such connections to the default tenant. A server that cannot
-// speak the client's version at all answers a 20-byte welcome carrying its
-// own version and zeroed dims/points, then closes the connection; the
-// client checks the version before anything else and surfaces a mismatch
-// error ("server speaks version X"). Dims is authoritative: every query the
-// client sends must carry exactly dims coordinates.
+// Dims, points, fp, and name together form the dataset id of the tenant the
+// connection is bound to; dims is authoritative for every later query. A
+// hello the server cannot bind — an unknown dataset or any other version —
+// is rejected with a welcome carrying zeroed dims/points/fp and the
+// requested name, then the connection closes. Its first 20 bytes are magic,
+// version 3, and zero dims/points, so a client of another version reports
+// "server speaks version 3" rather than an unexplained drop.
 //
 // # Frames
 //
@@ -100,45 +92,33 @@ var Magic = [4]byte{'P', 'N', 'D', 'Q'}
 // carries the canonical dataset id).
 const Version = 3
 
-// MinVersion is the oldest legacy client version a server still accepts.
-// Versions in [MinVersion, Version) use the pre-tenancy 8-byte hello and
-// 20-byte welcome and bind to the server's default tenant.
-const MinVersion = 1
-
-// LegacyVersion reports whether v is a still-accepted pre-tenancy protocol
-// version (single-tenant handshake, no dataset id).
-func LegacyVersion(v uint32) bool { return v >= MinVersion && v < Version }
-
 // MaxFrame caps a frame payload (64 MiB): large enough for a 1M-point
 // response at k=8, small enough that a hostile length prefix cannot make
 // either side allocate unboundedly.
 const MaxFrame = 64 << 20
 
-// Message kinds. The remote kinds are the inter-rank half of cluster
-// serving (§III-B steps 3–4): they address one rank's local shard only and
-// are never routed, which is what lets the owner's remote-candidate
-// exchange and the router's radius fan-out terminate instead of cascading.
-// The shard-addressed kinds are their replication-aware counterparts: they
-// name the shard explicitly, so a rank holding a *replica* of a dead
-// primary's shard can answer for it — the failover path stays bit-identical
-// because the replica tree is byte-identical to the primary's. Ping and the
-// section kinds carry no query work: Ping is the peer health probe, and
-// FetchSection/SectionData stream a shard's snapshot file chunk by chunk
-// for re-replication and rank join.
+// Message kinds. The shard kinds are the inter-rank half of cluster serving
+// (§III-B steps 2–4): every one names the shard it addresses, so the
+// receiver answers from its copy of that shard — its own tree or a replica —
+// and never re-routes, which is what lets forwarding, the remote-candidate
+// exchange, and the radius fan-out terminate instead of cascading. Replica
+// trees are byte-identical to the primary's, so failover stays
+// bit-identical. Ping and the section kinds carry no query work: Ping is the
+// peer health probe, and FetchSection/SectionData stream a shard's snapshot
+// file chunk by chunk for re-replication and rank join. Kinds 5 and 6 are
+// retired and never reused.
 const (
 	KindKNN            uint8 = 1  // request: k nearest neighbors for nq queries
 	KindRadius         uint8 = 2  // request: all points within squared radius r2
 	KindNeighbors      uint8 = 3  // response: neighbor lists for each query
 	KindError          uint8 = 4  // response: request failed; body is the reason
-	KindRemoteKNN      uint8 = 5  // request: ≤k local-shard candidates within pruning bound r2
-	KindRemoteRadius   uint8 = 6  // request: local-shard radius search (no cluster fan-out)
 	KindStats          uint8 = 7  // request: serving counters (no body)
 	KindStatsResult    uint8 = 8  // response: queries served, batches dispatched, active conns
 	KindPing           uint8 = 9  // request: peer liveness probe (no body)
 	KindPong           uint8 = 10 // response: liveness ack (no body)
-	KindShardKNN       uint8 = 11 // request: owner-pipeline KNN for an explicit shard (failover forwarding)
-	KindShardRemoteKNN uint8 = 12 // request: bounded candidates from an explicit shard's replica
-	KindShardRadius    uint8 = 13 // request: radius search on an explicit shard's replica
+	KindShardKNN       uint8 = 11 // request: owner-pipeline KNN on an explicit shard (forwarding)
+	KindShardRemoteKNN uint8 = 12 // request: ≤k candidates from an explicit shard within pruning bound r2
+	KindShardRadius    uint8 = 13 // request: radius search on an explicit shard (no cluster fan-out)
 	KindFetchSection   uint8 = 14 // request: one chunk of a shard's snapshot file
 	KindSectionData    uint8 = 15 // response: chunk bytes + file size + chunk crc32c
 )
@@ -242,8 +222,7 @@ const MaxTraceSpans = 256
 // and section streaming are never traced.
 func TraceableKind(kind uint8) bool {
 	switch kind {
-	case KindKNN, KindRadius, KindRemoteKNN, KindRemoteRadius,
-		KindShardKNN, KindShardRemoteKNN, KindShardRadius:
+	case KindKNN, KindRadius, KindShardKNN, KindShardRemoteKNN, KindShardRadius:
 		return true
 	}
 	return false
@@ -327,7 +306,7 @@ func (id DatasetID) String() string {
 // Hello is the decoded client half of the handshake.
 type Hello struct {
 	Version uint32
-	Dataset string // requested tenant ("" = default; always "" below v3)
+	Dataset string // requested tenant ("" = default; always "" unless v3)
 }
 
 // AppendHello appends a current-version client hello naming dataset
@@ -339,22 +318,13 @@ func AppendHello(b []byte, dataset string) []byte {
 	return append(b, dataset...)
 }
 
-// AppendLegacyHello appends a pre-v3 8-byte hello (no dataset name) for the
-// given version. Kept for compatibility tests; real legacy clients produce
-// these bytes themselves.
-func AppendLegacyHello(b []byte, version uint32) []byte {
-	b = append(b, Magic[:]...)
-	return wire.AppendUint32(b, version)
-}
-
 // helloLen is the size of the fixed client hello prefix.
 const helloLen = 8
 
 // ReadHello consumes a client hello from r: the fixed 8-byte prefix, then —
-// only when the client speaks v3 — the dataset name extension. Legacy
-// versions ([MinVersion, Version)) and unknown future versions return with
-// an empty Dataset and no extension read; the caller decides whether to
-// serve or reject the version. A hostile name (over-long, or bytes outside
+// only when the client speaks v3 — the dataset name extension. Any other
+// version returns with an empty Dataset and no extension read, for the
+// caller to reject. A hostile name (over-long, or bytes outside
 // the dataset charset — which covers non-UTF-8 and embedded NULs) is an
 // error.
 func ReadHello(r io.Reader) (Hello, error) {
@@ -408,18 +378,6 @@ func AppendWelcome(b []byte, id DatasetID) []byte {
 	b = wire.AppendUint64(b, id.Fingerprint)
 	b = wire.AppendUint32(b, uint32(len(id.Name)))
 	return append(b, id.Name...)
-}
-
-// AppendLegacyWelcome appends a pre-v3 20-byte welcome for the given
-// version: what a v3 server answers to a legacy client (echoing the
-// client's version, so the legacy ReadWelcome accepts it), and — with
-// zeroed dims/points and version == Version — the rejection a server sends
-// a client whose version it cannot speak at all.
-func AppendLegacyWelcome(b []byte, version uint32, dims int, points int64) []byte {
-	b = append(b, Magic[:]...)
-	b = wire.AppendUint32(b, version)
-	b = wire.AppendUint32(b, uint32(dims))
-	return wire.AppendUint64(b, uint64(points))
 }
 
 // ErrUnknownDataset marks a handshake the server rejected because the hello
@@ -535,9 +493,9 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 type Request struct {
 	ID     uint64
 	Kind   uint8     // any request kind
-	K      int       // KindKNN, KindRemoteKNN, and their shard-addressed forms
+	K      int       // KindKNN, KindShardKNN, KindShardRemoteKNN
 	NQ     int       // Kind(Shard)KNN: number of query points (1 for the other kinds)
-	R2     float32   // radius kinds and remote-KNN kinds (pruning bound)
+	R2     float32   // radius kinds and KindShardRemoteKNN (pruning bound)
 	Coords []float32 // NQ*dims (KNN) or dims (single-point kinds) coordinates
 	// Shard-addressed and section-streaming fields.
 	Shard    int    // shard kinds, KindFetchSection: which shard's tree/file
@@ -579,28 +537,6 @@ func AppendKNNRequest(b []byte, id uint64, k int, coords []float32, dims int) []
 // AppendRadiusRequest encodes a KindRadius request for one query point.
 func AppendRadiusRequest(b []byte, id uint64, r2 float32, q []float32) []byte {
 	b = append(b, KindRadius)
-	b = wire.AppendUint64(b, id)
-	b = wire.AppendFloat32(b, r2)
-	b = wire.AppendFloat32s(b, q)
-	return b
-}
-
-// AppendRemoteKNNRequest encodes a KindRemoteKNN request: up to k local-shard
-// candidates strictly within squared radius r2 of q (the owner's pruning
-// bound r'² — kdtree.Inf2 when the owner holds fewer than k candidates).
-func AppendRemoteKNNRequest(b []byte, id uint64, k int, r2 float32, q []float32) []byte {
-	b = append(b, KindRemoteKNN)
-	b = wire.AppendUint64(b, id)
-	b = wire.AppendUint32(b, uint32(k))
-	b = wire.AppendFloat32(b, r2)
-	b = wire.AppendFloat32s(b, q)
-	return b
-}
-
-// AppendRemoteRadiusRequest encodes a KindRemoteRadius request: a radius
-// search answered from the receiving rank's local shard alone.
-func AppendRemoteRadiusRequest(b []byte, id uint64, r2 float32, q []float32) []byte {
-	b = append(b, KindRemoteRadius)
 	b = wire.AppendUint64(b, id)
 	b = wire.AppendFloat32(b, r2)
 	b = wire.AppendFloat32s(b, q)
@@ -658,9 +594,9 @@ func AppendPongResponse(b []byte, id uint64) []byte {
 
 // AppendShardKNNRequest encodes a KindShardKNN request: run the full owner
 // pipeline for these queries against the named shard's tree, whichever copy
-// the receiver holds. This is the failover form of KindKNN forwarding — a
-// plain forwarded KindKNN would make the receiver recompute the owner and
-// try to forward to the dead primary again.
+// the receiver holds. Naming the shard is what makes forwarding terminate:
+// the receiver never recomputes ownership, so a replica holder answering
+// for a dead primary does not forward back to it.
 func AppendShardKNNRequest(b []byte, id uint64, shard, k int, coords []float32, dims int) []byte {
 	b = append(b, KindShardKNN)
 	b = wire.AppendUint64(b, id)
@@ -671,9 +607,10 @@ func AppendShardKNNRequest(b []byte, id uint64, shard, k int, coords []float32, 
 	return b
 }
 
-// AppendShardRemoteKNNRequest encodes a KindShardRemoteKNN request: the
-// replica-aware KindRemoteKNN — ≤k candidates strictly within r2 from the
-// named shard's tree.
+// AppendShardRemoteKNNRequest encodes a KindShardRemoteKNN request: up to k
+// candidates from the named shard's tree strictly within squared radius r2
+// of q (the owner's pruning bound r'², math.MaxFloat32 when the owner holds
+// fewer than k candidates).
 func AppendShardRemoteKNNRequest(b []byte, id uint64, shard, k int, r2 float32, q []float32) []byte {
 	b = append(b, KindShardRemoteKNN)
 	b = wire.AppendUint64(b, id)
@@ -684,8 +621,8 @@ func AppendShardRemoteKNNRequest(b []byte, id uint64, shard, k int, r2 float32, 
 	return b
 }
 
-// AppendShardRadiusRequest encodes a KindShardRadius request: the
-// replica-aware KindRemoteRadius against the named shard's tree.
+// AppendShardRadiusRequest encodes a KindShardRadius request: a radius
+// search answered from the named shard's tree alone (no cluster fan-out).
 func AppendShardRadiusRequest(b []byte, id uint64, shard int, r2 float32, q []float32) []byte {
 	b = append(b, KindShardRadius)
 	b = wire.AppendUint64(b, id)
@@ -763,11 +700,11 @@ func ConsumeRequest(payload []byte, dims int, req *Request) error {
 			return fmt.Errorf("proto: %d queries × k=%d exceeds the %d-neighbor response cap; split the batch",
 				req.NQ, req.K, MaxResultNeighbors)
 		}
-	case KindRadius, KindRemoteRadius, KindRemoteKNN, KindShardRadius, KindShardRemoteKNN:
-		if req.Kind == KindShardRadius || req.Kind == KindShardRemoteKNN {
+	case KindRadius, KindShardRadius, KindShardRemoteKNN:
+		if req.Kind != KindRadius {
 			req.Shard = int(d.Uint32())
 		}
-		if req.Kind == KindRemoteKNN || req.Kind == KindShardRemoteKNN {
+		if req.Kind == KindShardRemoteKNN {
 			req.K = int(d.Uint32())
 		}
 		req.R2 = d.Float32()
@@ -779,7 +716,7 @@ func ConsumeRequest(payload []byte, dims int, req *Request) error {
 		if req.Shard < 0 || req.Shard >= MaxShards {
 			return fmt.Errorf("proto: shard %d out of range [0, %d)", req.Shard, MaxShards)
 		}
-		if (req.Kind == KindRemoteKNN || req.Kind == KindShardRemoteKNN) && (req.K < 1 || req.K > MaxK) {
+		if req.Kind == KindShardRemoteKNN && (req.K < 1 || req.K > MaxK) {
 			return fmt.Errorf("proto: k %d out of range [1, %d]", req.K, MaxK)
 		}
 		if len(req.Coords) != dims {

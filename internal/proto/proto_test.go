@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -40,30 +41,25 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHandshakeLegacyVersions(t *testing.T) {
-	// v1/v2 hellos carry no dataset name and bind the default tenant.
-	for _, v := range []uint32{1, 2} {
-		hello := AppendLegacyHello(nil, v)
-		if len(hello) != 8 {
-			t.Fatalf("legacy hello is %d bytes, want the historical 8", len(hello))
-		}
-		h, err := ReadHello(bytes.NewReader(hello))
+// helloPrefix is the fixed 8-byte hello prefix (magic + version) that every
+// protocol version starts with.
+func helloPrefix(version uint32) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), Magic[:]...), version)
+}
+
+func TestHandshakeNonV3HelloPrefix(t *testing.T) {
+	// A non-v3 hello is read as its 8-byte prefix alone: no dataset name,
+	// and no byte after the prefix consumed (the server rejects the version
+	// without waiting on an extension the client never sends).
+	for _, v := range []uint32{1, 2, Version + 1} {
+		r := bytes.NewReader(append(helloPrefix(v), 0xFF, 0xFF, 0xFF, 0xFF))
+		h, err := ReadHello(r)
 		if err != nil || h.Version != v || h.Dataset != "" {
 			t.Fatalf("ReadHello(v%d) = %+v, %v", v, h, err)
 		}
-		if !LegacyVersion(h.Version) {
-			t.Fatalf("version %d not recognised as legacy", v)
+		if r.Len() != 4 {
+			t.Fatalf("v%d hello consumed %d bytes past its 8-byte prefix", v, 4-r.Len())
 		}
-	}
-	if LegacyVersion(0) || LegacyVersion(Version) || LegacyVersion(Version+1) {
-		t.Fatal("LegacyVersion accepts a non-legacy version")
-	}
-	// The legacy welcome is the historical 20-byte frame; old ReadWelcome
-	// implementations reject any version but their own, so it must echo the
-	// client's version, not the server's.
-	w := AppendLegacyWelcome(nil, 2, 7, 123456)
-	if len(w) != 20 {
-		t.Fatalf("legacy welcome is %d bytes, want 20", len(w))
 	}
 }
 
@@ -122,25 +118,13 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %+v", req)
 	}
 
-	b = AppendRemoteKNNRequest(nil, 8, 6, 0.5, coords[:3])
-	if err := ConsumeRequest(b, 3, &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.ID != 8 || req.Kind != KindRemoteKNN || req.K != 6 || req.R2 != 0.5 || len(req.Coords) != 3 {
-		t.Fatalf("decoded %+v", req)
-	}
 	// MaxFloat32 is the engine's "unbounded" pruning sentinel — it must be
 	// accepted (it is finite), unlike ±Inf/NaN.
-	b = AppendRemoteKNNRequest(nil, 9, 6, math.MaxFloat32, coords[:3])
+	b = AppendShardRemoteKNNRequest(nil, 9, 0, 6, math.MaxFloat32, coords[:3])
 	if err := ConsumeRequest(b, 3, &req); err != nil {
 		t.Fatal(err)
 	}
-
-	b = AppendRemoteRadiusRequest(nil, 10, 0.75, coords[:3])
-	if err := ConsumeRequest(b, 3, &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.ID != 10 || req.Kind != KindRemoteRadius || req.R2 != 0.75 || len(req.Coords) != 3 {
+	if req.ID != 9 || req.Kind != KindShardRemoteKNN || req.K != 6 || req.R2 != math.MaxFloat32 {
 		t.Fatalf("decoded %+v", req)
 	}
 
@@ -210,17 +194,17 @@ func TestRequestValidation(t *testing.T) {
 		"empty payload": {},
 		"oversize nq*k": AppendKNNRequest(nil, 1, MaxK,
 			make([]float32, 3*(MaxResultNeighbors/MaxK+1)), 3),
-		"NaN coord":          AppendKNNRequest(nil, 1, 5, []float32{1, nan, 3}, 3),
-		"+Inf coord":         AppendKNNRequest(nil, 1, 5, []float32{1, inf, 3}, 3),
-		"-Inf coord":         AppendKNNRequest(nil, 1, 5, []float32{1, -inf, 3}, 3),
-		"radius NaN coord":   AppendRadiusRequest(nil, 1, 0.5, []float32{nan, 2, 3}),
-		"radius NaN r2":      AppendRadiusRequest(nil, 1, nan, coords),
-		"radius Inf r2":      AppendRadiusRequest(nil, 1, inf, coords),
-		"remote KNN NaN r2":  AppendRemoteKNNRequest(nil, 1, 5, nan, coords),
-		"remote KNN zero k":  AppendRemoteKNNRequest(nil, 1, 0, 0.5, coords),
-		"remote KNN huge k":  AppendRemoteKNNRequest(nil, 1, MaxK+1, 0.5, coords),
-		"remote radius Inf":  AppendRemoteRadiusRequest(nil, 1, inf, coords),
-		"remote radius dims": AppendRemoteRadiusRequest(nil, 1, 0.5, coords[:2]),
+		"NaN coord":               AppendKNNRequest(nil, 1, 5, []float32{1, nan, 3}, 3),
+		"+Inf coord":              AppendKNNRequest(nil, 1, 5, []float32{1, inf, 3}, 3),
+		"-Inf coord":              AppendKNNRequest(nil, 1, 5, []float32{1, -inf, 3}, 3),
+		"radius NaN coord":        AppendRadiusRequest(nil, 1, 0.5, []float32{nan, 2, 3}),
+		"radius NaN r2":           AppendRadiusRequest(nil, 1, nan, coords),
+		"radius Inf r2":           AppendRadiusRequest(nil, 1, inf, coords),
+		"remote KNN NaN r2":       AppendShardRemoteKNNRequest(nil, 1, 0, 5, nan, coords),
+		"remote KNN zero k":       AppendShardRemoteKNNRequest(nil, 1, 0, 0, 0.5, coords),
+		"remote KNN huge k":       AppendShardRemoteKNNRequest(nil, 1, 0, MaxK+1, 0.5, coords),
+		"remote radius Inf":       AppendShardRadiusRequest(nil, 1, 0, inf, coords),
+		"remote radius dims":      AppendShardRadiusRequest(nil, 1, 0, 0.5, coords[:2]),
 		"shard KNN huge shard":    AppendShardKNNRequest(nil, 1, MaxShards, 5, coords, 3),
 		"shard KNN zero k":        AppendShardKNNRequest(nil, 1, 0, 0, coords, 3),
 		"shard radius huge shard": AppendShardRadiusRequest(nil, 1, MaxShards+7, 0.5, coords),
@@ -250,6 +234,16 @@ func TestRequestValidation(t *testing.T) {
 			if errors.Is(err, ErrMalformed) {
 				t.Errorf("%s: classified as malformed (would drop the connection): %v", name, err)
 			}
+		}
+	}
+	// Retired kinds 5 and 6 (the pre-shard-addressed remote kinds) are
+	// unknown like any never-assigned number, whatever body follows.
+	for _, kind := range []uint8{5, 6, 42} {
+		payload := AppendShardRemoteKNNRequest(nil, 1, 0, 5, 0.5, coords)
+		payload[0] = kind
+		err := ConsumeRequest(payload, 3, &req)
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown request kind") {
+			t.Errorf("kind %d: err = %v, want ErrMalformed unknown request kind", kind, err)
 		}
 	}
 }

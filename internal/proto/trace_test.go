@@ -20,8 +20,8 @@ func TestTraceRequestRoundTrip(t *testing.T) {
 	}{
 		{"knn", 3, func() []byte { return AppendKNNRequest(nil, 1, 5, q, 3) }},
 		{"radius", 3, func() []byte { return AppendRadiusRequest(nil, 2, 0.5, q) }},
-		{"remote-knn", 3, func() []byte { return AppendRemoteKNNRequest(nil, 3, 5, 0.25, q) }},
-		{"remote-radius", 3, func() []byte { return AppendRemoteRadiusRequest(nil, 4, 0.5, q) }},
+		{"remote-knn", 3, func() []byte { return AppendShardRemoteKNNRequest(nil, 3, 0, 5, 0.25, q) }},
+		{"remote-radius", 3, func() []byte { return AppendShardRadiusRequest(nil, 4, 0, 0.5, q) }},
 		{"shard-knn", 3, func() []byte { return AppendShardKNNRequest(nil, 5, 2, 5, q, 3) }},
 		{"shard-remote-knn", 3, func() []byte { return AppendShardRemoteKNNRequest(nil, 6, 2, 5, 0.25, q) }},
 		{"shard-radius", 3, func() []byte { return AppendShardRadiusRequest(nil, 7, 2, 0.5, q) }},

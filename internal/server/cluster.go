@@ -13,12 +13,12 @@
 //  2. local KNN at the owner — owned queries are enqueued on the regular
 //     micro-batching intake, so they coalesce with everyone else's traffic
 //     into KNNBatchFlatInto arena calls; queries owned elsewhere are
-//     forwarded to their owner as plain KindKNN batches, where they ride
-//     that rank's dispatcher the same way;
+//     forwarded to their owner shard as KindShardKNN batches, where they
+//     ride that rank's dispatcher the same way;
 //  3. identify remote ranks — when the kth-candidate ball r'² crosses shard
 //     boundaries, RanksWithin lists the ranks whose domains intersect it;
-//  4. remote KNN — those ranks answer KindRemoteKNN (bounded candidate
-//     search, strictly within r'²) from their local shards;
+//  4. remote KNN — those shards answer KindShardRemoteKNN (bounded
+//     candidate search, strictly within r'²);
 //  5. merge — local and remote candidates merge through the same
 //     knnheap.MergeTopK the SPMD engine uses, so answers are bit-identical
 //     to a single tree built over the union of the shards, with one caveat
@@ -30,8 +30,12 @@
 //     tied ids. Real-valued data has no such ties; integer grids do.
 //
 // Radius queries skip ownership (the ball is known up front): the router
-// fans KindRemoteRadius out to every rank whose domain intersects the ball
+// fans KindShardRadius out to every shard whose domain intersects the ball
 // and merges by (distance, id) — the single-tree result order.
+//
+// Every inter-rank call names its shard, so one wire kind per step serves
+// the shard's primary and its replica holders alike, and a receiver never
+// re-routes: it answers from its copy of the named shard.
 //
 // # Replication and failover
 //
@@ -40,10 +44,8 @@
 // shard's work runs at the shard's first LIVE holder, primary first. A
 // replica holder answers from its copy of the shard's snapshot bytes — the
 // same bytes the primary serves — so failover answers stay bit-identical
-// while any one copy of each shard survives. Owner-pipeline work lands on a
-// replica via KindShardKNN (a plain KindKNN would make the replica
-// recompute ownership and re-forward to the dead primary); exchange and
-// radius legs use KindShardRemoteKNN/KindShardRadius. Liveness comes from
+// while any one copy of each shard survives — the same shard-addressed
+// kinds reach a replica holder as reach the primary. Liveness comes from
 // transport failures and a background heartbeat (health.go); a dead rank's
 // shards are re-pulled by the next ranks in the chain over the
 // section-streaming protocol (replica.go).
@@ -446,15 +448,8 @@ func (rt *router) serveShardGroup(p *pending, o int, coords []float32, idx []int
 		if fwd == nil {
 			fwd = gatherCoords(coords, idx, dims)
 		}
-		var flat []panda.Neighbor
-		var offs []int32
-		var err error
 		legStart := time.Now()
-		if h == o {
-			flat, offs, err = rt.peers[h].forwardKNN(fwd, k, dims, p.trace)
-		} else {
-			flat, offs, err = rt.peers[h].forwardShardKNN(o, fwd, k, dims, p.trace)
-		}
+		flat, offs, err := rt.peers[h].forwardShardKNN(o, fwd, k, dims, p.trace)
 		p.trailExchange.Add(int64(time.Since(legStart)))
 		if err != nil {
 			lastErr = fmt.Errorf("forward shard %d to rank %d: %w", o, h, err)
@@ -490,7 +485,7 @@ const maxExchangeWorkers = 16
 
 // ownedShardKNN is the owner-side pipeline for queries owned by shard o,
 // run on this rank's copy of o (its own tree when o is this rank, a replica
-/// tree otherwise): local KNN (§III-B step 2 — through the micro-batching
+// tree otherwise): local KNN (§III-B step 2 — through the micro-batching
 // dispatcher for the rank's own shard, a direct pooled engine call for a
 // replica), then the bounded remote-candidate exchange and top-k merge
 // (steps 3–5) per query whose r'-ball crosses shard boundaries — exchanges
@@ -622,8 +617,7 @@ func (rt *router) exchange(q []float32, k int, r2 float32, local []panda.Neighbo
 
 // shardCandidates fetches shard t's bounded candidates (strictly within r2
 // of q) from its first live holder: a local copy when this rank holds one,
-// the shard's own rank via KindRemoteKNN, a replica holder via
-// KindShardRemoteKNN.
+// any other holder via KindShardRemoteKNN.
 func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
 	holders := rt.liveHolders(t, nil)
 	if len(holders) == 0 {
@@ -634,12 +628,9 @@ func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *tra
 	for _, h := range holders {
 		var nbrs []panda.Neighbor
 		var err error
-		switch {
-		case h == rt.rank:
+		if h == rt.rank {
 			nbrs = rt.shardTree(t).KNNBoundedInto(q, k, r2, nil)
-		case h == t:
-			nbrs, err = rt.peers[h].remoteKNN(q, k, r2, tc)
-		default:
+		} else {
 			nbrs, err = rt.peers[h].shardRemoteKNN(t, q, k, r2, tc)
 		}
 		if err != nil {
@@ -679,16 +670,12 @@ func (rt *router) shardRadiusAt(p *pending, t int, q []float32, r2 float32) ([]p
 		case h == rt.rank && t == rt.rank:
 			// Own shard: through the dispatcher like any local radius work.
 			var bd stageBreakdown
-			nbrs, _, bd, err = rt.localStage(proto.KindRemoteRadius, 0, 1, r2, q)
+			nbrs, _, bd, err = rt.localStage(proto.KindRadius, 0, 1, r2, q)
 			p.addBreakdown(bd)
 		case h == rt.rank:
 			engStart := time.Now()
 			nbrs = rt.shardTree(t).RadiusSearchInto(q, r2, nil)
 			p.trailEngine.Add(int64(time.Since(engStart)))
-		case h == t:
-			legStart := time.Now()
-			nbrs, err = rt.peers[h].remoteRadius(q, r2, p.trace)
-			p.trailExchange.Add(int64(time.Since(legStart)))
 		default:
 			legStart := time.Now()
 			nbrs, err = rt.peers[h].shardRadius(t, q, r2, p.trace)
@@ -762,8 +749,9 @@ func (rt *router) routeRadius(p *pending) {
 }
 
 // routeShardKNN answers a forwarded KindShardKNN batch: the owner pipeline
-// for the addressed shard, on this rank's copy. Refusing (shard not held)
-// is a semantic error — the forwarder walks on to the next holder.
+// for the addressed shard, on this rank's copy (its own tree or a replica).
+// Refusing (shard not held) is a semantic error — the forwarder walks on to
+// the next holder.
 func (rt *router) routeShardKNN(p *pending) {
 	s := rt.s
 	defer s.putPending(p)
@@ -801,8 +789,8 @@ func (rt *router) routeShardKNN(p *pending) {
 
 // routeShardLocal answers the shard-addressed single-shard kinds
 // (KindShardRemoteKNN, KindShardRadius) directly from this rank's copy of
-// the shard — the failover analogues of KindRemoteKNN/KindRemoteRadius,
-// which by definition mean "your own shard".
+// the shard, its own or a replica, on the router goroutine — never through
+// the dispatcher.
 func (rt *router) routeShardLocal(p *pending) {
 	s := rt.s
 	defer s.putPending(p)

@@ -542,9 +542,10 @@ func TestClusterRankDisconnectMidBatch(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatchExplicitReject checks the server rejects a
-// mismatched protocol version before revealing tree metadata: the welcome
-// carries the server's version with zeroed dims/len, then the connection
-// closes — and the client surfaces "server speaks version X" from it.
+// mismatched protocol version before revealing tree metadata: the full v3
+// rejection welcome (server version, zeroed dims/points/fingerprint, empty
+// name), then the connection closes — and the client surfaces "server speaks
+// version X" from it.
 func TestHandshakeVersionMismatchExplicitReject(t *testing.T) {
 	tree, _ := testTree(t, 500, 3)
 	_, addr := startServer(t, tree, Config{})
@@ -555,12 +556,12 @@ func TestHandshakeVersionMismatchExplicitReject(t *testing.T) {
 	}
 	defer nc.Close()
 	// A future-version hello: magic + version 99.
-	hello := proto.AppendLegacyHello(nil, 99)
+	hello := binary.LittleEndian.AppendUint32(append([]byte{}, proto.Magic[:]...), 99)
 	if _, err := nc.Write(hello); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var welcome [20]byte
+	var welcome [32]byte
 	if _, err := io.ReadFull(nc, welcome[:]); err != nil {
 		t.Fatalf("no welcome on version mismatch: %v", err)
 	}
@@ -570,11 +571,16 @@ func TestHandshakeVersionMismatchExplicitReject(t *testing.T) {
 	version := binary.LittleEndian.Uint32(welcome[4:8])
 	dims := binary.LittleEndian.Uint32(welcome[8:12])
 	points := binary.LittleEndian.Uint64(welcome[12:20])
+	fp := binary.LittleEndian.Uint64(welcome[20:28])
+	nlen := binary.LittleEndian.Uint32(welcome[28:32])
 	if version != proto.Version {
 		t.Fatalf("welcome version %d, want server's %d", version, proto.Version)
 	}
-	if dims != 0 || points != 0 {
-		t.Fatalf("mismatch welcome leaked tree metadata: dims=%d points=%d", dims, points)
+	if dims != 0 || points != 0 || fp != 0 {
+		t.Fatalf("mismatch welcome leaked tree metadata: dims=%d points=%d fp=%x", dims, points, fp)
+	}
+	if nlen != 0 {
+		t.Fatalf("mismatch welcome carries a %d-byte name, want none", nlen)
 	}
 	// And then the connection closes.
 	var one [1]byte

@@ -71,7 +71,7 @@ type metrics struct {
 	// counts once here and 64 times in statQueries).
 	knnRequests    atomic.Int64
 	radiusRequests atomic.Int64
-	otherRequests  atomic.Int64 // shard-addressed, remote, section kinds
+	otherRequests  atomic.Int64 // bounded-candidate and section kinds
 }
 
 // observe records one answered request of the given wire kind.
@@ -80,7 +80,7 @@ func (m *metrics) observe(kind uint8, d time.Duration) {
 	switch kind {
 	case proto.KindKNN, proto.KindShardKNN:
 		m.knnRequests.Add(1)
-	case proto.KindRadius, proto.KindRemoteRadius, proto.KindShardRadius:
+	case proto.KindRadius, proto.KindShardRadius:
 		m.radiusRequests.Add(1)
 	default:
 		m.otherRequests.Add(1)

@@ -40,14 +40,14 @@ const (
 
 // peer is this rank's client to one other rank's serving endpoint. It
 // speaks the ordinary client protocol (internal/proto) over one pipelined
-// connection: forwarded queries are plain KindKNN requests — the remote
-// rank's own router answers them, which is what makes forwarding terminate
-// at the owner — while the remote-candidate exchange uses the shard-local
-// KindRemoteKNN/KindRemoteRadius kinds (and their shard-addressed variants
-// when the target holds the shard as a replica). The connection is dialed
-// lazily on first use and redialed with jittered exponential backoff after
-// failures, so rank start-up order does not matter and a restarted rank
-// heals without coordination.
+// connection, and every query call names the shard it addresses — whether
+// the peer is that shard's primary or a replica holder: forwarded queries
+// are KindShardKNN, the remote-candidate exchange KindShardRemoteKNN, radius
+// legs KindShardRadius. The receiver answers from its copy of the named
+// shard without re-routing, which is what makes every call terminate at the
+// peer. The connection is dialed lazily on first use and redialed with
+// jittered exponential backoff after failures, so rank start-up order does
+// not matter and a restarted rank heals without coordination.
 type peer struct {
 	rank        int
 	addr        string
@@ -148,26 +148,10 @@ func (p *peer) close() {
 	}
 }
 
-// forwardKNN forwards whole queries to their owner rank as one KindKNN
-// batch; the owner's router runs the full pipeline (local KNN + remote
-// exchange) and answers final per-query neighbor lists. A non-nil tc rides
-// the trace id on the request and collects the spans the peer answers with.
-func (p *peer) forwardKNN(coords []float32, k, dims int, tc *traceCtx) ([]panda.Neighbor, []int32, error) {
-	pc, err := p.conn()
-	if err != nil {
-		return nil, nil, err
-	}
-	res := pc.call(p.callTimeout, func(b []byte, id uint64) []byte {
-		return tc.appendTrailer(proto.AppendKNNRequest(b, id, k, coords, dims))
-	})
-	tc.addRemote(res.spans)
-	return res.flat, res.offsets, res.err
-}
-
-// forwardShardKNN forwards whole queries to a replica holder of shard, which
-// runs the owner pipeline on its copy of that shard (the failover analogue
-// of forwardKNN — a plain KindKNN would make the holder recompute ownership
-// and re-forward to the dead primary).
+// forwardShardKNN forwards whole queries to a holder of shard, which runs
+// the owner pipeline (local KNN + remote exchange) on its copy of that shard
+// and answers final per-query neighbor lists. A non-nil tc rides the trace
+// id on the request and collects the spans the peer answers with.
 func (p *peer) forwardShardKNN(shard int, coords []float32, k, dims int, tc *traceCtx) ([]panda.Neighbor, []int32, error) {
 	pc, err := p.conn()
 	if err != nil {
@@ -180,22 +164,8 @@ func (p *peer) forwardShardKNN(shard int, coords []float32, k, dims int, tc *tra
 	return res.flat, res.offsets, res.err
 }
 
-// remoteKNN asks the peer for its local-shard candidates strictly within r2
-// of q (§III-B step 4).
-func (p *peer) remoteKNN(q []float32, k int, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
-	pc, err := p.conn()
-	if err != nil {
-		return nil, err
-	}
-	res := pc.call(p.callTimeout, func(b []byte, id uint64) []byte {
-		return tc.appendTrailer(proto.AppendRemoteKNNRequest(b, id, k, r2, q))
-	})
-	tc.addRemote(res.spans)
-	return res.flat, res.err
-}
-
 // shardRemoteKNN asks the peer for shard's candidates strictly within r2 of
-// q, answered from the peer's replica copy of that shard.
+// q (§III-B step 4), answered from the peer's copy of that shard.
 func (p *peer) shardRemoteKNN(shard int, q []float32, k int, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
 	pc, err := p.conn()
 	if err != nil {
@@ -208,21 +178,8 @@ func (p *peer) shardRemoteKNN(shard int, q []float32, k int, r2 float32, tc *tra
 	return res.flat, res.err
 }
 
-// remoteRadius asks the peer for its local-shard points within r2 of q.
-func (p *peer) remoteRadius(q []float32, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
-	pc, err := p.conn()
-	if err != nil {
-		return nil, err
-	}
-	res := pc.call(p.callTimeout, func(b []byte, id uint64) []byte {
-		return tc.appendTrailer(proto.AppendRemoteRadiusRequest(b, id, r2, q))
-	})
-	tc.addRemote(res.spans)
-	return res.flat, res.err
-}
-
 // shardRadius asks the peer for shard's points within r2 of q, answered
-// from the peer's replica copy of that shard.
+// from the peer's copy of that shard.
 func (p *peer) shardRadius(shard int, q []float32, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
 	pc, err := p.conn()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Multi-dataset tenancy: the registry maps dataset names to engines — a
 // tree plus its per-tenant serving counters. One server process hosts many
 // trees; each connection binds to exactly one engine at handshake (the v3
-// hello names it, legacy hellos get the default), and everything downstream
+// hello names it, an empty name gets the default), and everything downstream
 // of the handshake — admission, dispatch grouping, metrics — carries the
 // engine instead of assuming a process-global tree. The registry is
 // assembled before the server starts and immutable afterwards, so the hot
@@ -37,8 +37,7 @@ type engine struct {
 
 // Registry is an immutable-after-start set of named engines. Build one with
 // NewRegistry + Add, then hand it to NewMulti. The first dataset added is
-// the default tenant (bound by legacy clients and by v3 hellos with an
-// empty dataset name).
+// the default tenant (bound by hellos with an empty dataset name).
 type Registry struct {
 	tenants map[string]*engine
 	order   []string // registration order; order[0] is the default

@@ -38,20 +38,20 @@
 // # Wire format
 //
 // In brief (internal/proto is the authoritative reference): a connection
-// opens with a versioned handshake — client sends magic "PNDQ" + version,
-// server answers magic + version + tree dims + point count. On a version
-// mismatch the server instead answers a welcome carrying its own version
-// with zeroed dims/len and closes, so the client can report "server speaks
-// version X" rather than seeing tree metadata followed by an unexplained
-// drop. After that, both directions carry
-// length-prefixed frames (uint32 length, capped at proto.MaxFrame) whose
-// payload is kind byte + uint64 request id + a kind-specific body: KNN
-// requests carry k, a query count, and packed float32 coordinates; radius
-// requests carry r² and one point; neighbor responses carry per-query
-// counts followed by (id int64, dist² float32) pairs; error responses carry
-// a message string. All integers and floats are little-endian. Request ids
-// are client-chosen and echoed verbatim, which is what allows pipelining
-// and out-of-order responses.
+// opens with a versioned handshake — client sends magic "PNDQ" + version +
+// dataset name, server answers magic + version + the bound dataset id (tree
+// dims, point count, fingerprint, name). A hello it cannot bind (unknown
+// dataset, other version) gets a welcome with zeroed dims/points, then the
+// connection closes, so the client can report the unknown dataset or
+// "server speaks version 3" rather than an unexplained drop. After that,
+// both directions carry length-prefixed frames (uint32 length, capped at
+// proto.MaxFrame) whose payload is kind byte + uint64 request id + a
+// kind-specific body: KNN requests carry k, a query count, and packed
+// float32 coordinates; radius requests carry r² and one point; neighbor
+// responses carry per-query counts followed by (id int64, dist² float32)
+// pairs; error responses carry a message string. All integers and floats
+// are little-endian. Request ids are client-chosen and echoed verbatim,
+// which is what allows pipelining and out-of-order responses.
 //
 // # Shutdown
 //
@@ -158,7 +158,7 @@ const (
 // shared by both modes.
 type Server struct {
 	// reg maps dataset names to engines (tree + per-tenant counters);
-	// def is reg's default tenant, the one legacy clients bind to.
+	// def is reg's default tenant, the one an empty dataset name binds to.
 	// Immutable once Serve starts.
 	reg *Registry
 	def *engine
@@ -284,7 +284,7 @@ func New(tree *panda.Tree, cfg Config) *Server {
 // NewMulti returns an unstarted server hosting every dataset in reg. The
 // registry must not be modified afterwards. Each client connection binds to
 // one dataset at handshake — the one its hello names, or reg's first-added
-// (default) tenant for legacy clients and empty selectors.
+// (default) tenant for an empty name.
 func NewMulti(reg *Registry, cfg Config) (*Server, error) {
 	if reg == nil || len(reg.order) == 0 {
 		return nil, errors.New("server: registry has no datasets")
@@ -697,39 +697,21 @@ func (s *Server) serveConn(c *conn) {
 		c.close()
 		return
 	}
-	var welcome []byte
-	switch {
-	case hello.Version == proto.Version:
+	if hello.Version == proto.Version {
 		c.eng = s.reg.lookup(hello.Dataset)
-		if c.eng == nil {
-			// Unknown dataset: reject with a v3 welcome echoing the
-			// requested name with zeroed dims/points/fingerprint, then
-			// close. The client surfaces ErrUnknownDataset naming it.
-			c.writeFrameless(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}), s.cfg.WriteTimeout)
-			s.removeConn(c)
-			c.close()
-			return
-		}
-		welcome = proto.AppendWelcome(nil, c.eng.id)
-	case proto.LegacyVersion(hello.Version):
-		// Pre-tenancy client: bind the default tenant and answer the
-		// 20-byte legacy welcome echoing the client's version (a legacy
-		// ReadWelcome rejects any version but its own).
-		c.eng = s.def
-		welcome = proto.AppendLegacyWelcome(nil, hello.Version, c.eng.id.Dims, c.eng.id.Points)
-	default:
-		// Unknown future version: reject the mismatch explicitly, before
-		// any tree metadata — a welcome carrying the server's version and
-		// zeroed dims/len, then close. The client's ReadWelcome checks the
-		// version first, so it surfaces "server speaks version X" instead
-		// of reading valid dims/len and then hitting an unexplained
-		// connection drop.
-		c.writeFrameless(proto.AppendLegacyWelcome(nil, proto.Version, 0, 0), s.cfg.WriteTimeout)
+	}
+	if c.eng == nil {
+		// Unknown dataset or any other version: reject with a v3 welcome
+		// echoing the requested name with zeroed dims/points/fingerprint,
+		// then close. A v3 client surfaces ErrUnknownDataset naming it; a
+		// client of another version reads "server speaks version 3" from the
+		// first 20 bytes before any tree metadata.
+		c.writeFrameless(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}), s.cfg.WriteTimeout)
 		s.removeConn(c)
 		c.close()
 		return
 	}
-	if c.writeFrameless(welcome, s.cfg.WriteTimeout) != nil {
+	if c.writeFrameless(proto.AppendWelcome(nil, c.eng.id), s.cfg.WriteTimeout) != nil {
 		s.removeConn(c)
 		c.close()
 		return
@@ -815,7 +797,7 @@ func (s *Server) serveConn(c *conn) {
 			}
 			continue
 		}
-		// Admission control: query work (KNN, radius, and their remote and
+		// Admission control: query work (KNN, radius, and their
 		// shard-addressed forms) is admitted against the in-flight limit; a
 		// request over the limit is refused right here with a clean
 		// overload error — the connection stays usable and the client can
@@ -851,17 +833,15 @@ func (s *Server) serveConn(c *conn) {
 		} else if s.cfg.TraceSample > 0 && proto.TraceableKind(p.req.Kind) && c.sample(s.cfg.TraceSample) {
 			p.trace = newTraceCtx(c.newTraceID())
 		}
-		// Cluster mode: externally-routable kinds go through the shard
-		// router (owner lookup, forwarding, remote-candidate exchange,
-		// failover) in their own goroutine so the reader keeps pipelining
-		// and the dispatcher never blocks on the network. The remote kinds
-		// (RemoteKNN/RemoteRadius) address this shard alone by definition
-		// and take the ordinary intake path even in cluster mode; the
-		// shard-addressed kinds answer from replica trees outside the
-		// dispatcher (it only batches for the rank's own tree), and
-		// section fetches are disk reads the dispatcher should never wait
-		// behind.
-		if s.cluster != nil && (p.req.Kind == proto.KindKNN || p.req.Kind == proto.KindRadius || clusterOnlyKind(p.req.Kind)) {
+		// Cluster mode: every remaining kind goes through the shard router
+		// (owner lookup, forwarding, remote-candidate exchange, failover) in
+		// its own goroutine so the reader keeps pipelining and the
+		// dispatcher never blocks on the network. The shard-addressed kinds
+		// answer from the named shard's tree on the router goroutine (the
+		// dispatcher only batches KindKNN/KindRadius for the rank's own
+		// tree), and section fetches are disk reads the dispatcher should
+		// never wait behind.
+		if s.cluster != nil {
 			if c.routeSem == nil {
 				c.routeSem = make(chan struct{}, s.cfg.IntakeDepth)
 			}
@@ -1015,10 +995,7 @@ func (d *dispatcher) process() {
 			continue
 		}
 		p := d.batch[i]
-		if p.req.Kind == proto.KindRadius || p.req.Kind == proto.KindRemoteRadius {
-			// Both kinds answer from the local tree; they differ only in
-			// routing (a cluster router fans KindRadius out and sends
-			// KindRemoteRadius to the shards, which land here).
+		if p.req.Kind == proto.KindRadius {
 			d.done[i] = true
 			d.radius = p.eng.tree.RadiusSearchInto(p.req.Coords, p.req.R2, d.radius[:0])
 			p.engined = time.Now()
@@ -1029,20 +1006,6 @@ func (d *dispatcher) process() {
 					len(d.radius), proto.MaxResultNeighbors))
 				continue
 			}
-			d.offs2[0] = 0
-			d.offs2[1] = int32(len(d.radius))
-			d.respondNeighbors(p, d.offs2, d.radius)
-			continue
-		}
-		if p.req.Kind == proto.KindRemoteKNN {
-			// Bounded remote-candidate search (§III-B step 4): up to k
-			// local-shard candidates strictly within the owner's pruning
-			// bound r'². Individual execution on a pooled searcher — the
-			// bound makes these cheap, and they cannot share an arena call
-			// with unbounded KNN requests.
-			d.done[i] = true
-			d.radius = p.eng.tree.KNNBoundedInto(p.req.Coords, p.req.K, p.req.R2, d.radius[:0])
-			p.engined = time.Now()
 			d.offs2[0] = 0
 			d.offs2[1] = int32(len(d.radius))
 			d.respondNeighbors(p, d.offs2, d.radius)

@@ -206,13 +206,13 @@ func TestTenancyMixedWorkloadBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLegacyHandshakeBindsDefaultTenant is the v2(and v1)-client-vs-v3-server
-// compatibility test: a legacy 8-byte hello binds the connection to the
-// default (first-registered) tenant, receives the historical 20-byte welcome
-// echoing the CLIENT's version — old ReadWelcome implementations reject any
-// version but their own — and then queries answer from the default tree.
-func TestLegacyHandshakeBindsDefaultTenant(t *testing.T) {
-	treeA, coordsA := buildTenantTree(t, 2000, 3, 303)
+// TestLegacyHandshakeRejected: a pre-v3 (v1/v2) 8-byte hello binds no
+// tenant. The server answers the v3 rejection — version 3 and zeroed
+// dims/points in the first 20 bytes, so a legacy client reports "server
+// speaks version 3" — and closes the connection; the rejection is what a v3
+// client reads as ErrUnknownDataset.
+func TestLegacyHandshakeRejected(t *testing.T) {
+	treeA, _ := buildTenantTree(t, 2000, 3, 303)
 	treeB, _ := buildTenantTree(t, 1500, 4, 404)
 	reg := NewRegistry()
 	if err := reg.Add("alpha", treeA); err != nil {
@@ -228,51 +228,25 @@ func TestLegacyHandshakeBindsDefaultTenant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nc.Write(proto.AppendLegacyHello(nil, v)); err != nil {
+		hello := binary.LittleEndian.AppendUint32(append([]byte{}, proto.Magic[:]...), v)
+		if _, err := nc.Write(hello); err != nil {
 			t.Fatal(err)
 		}
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var welcome [20]byte
-		if _, err := io.ReadFull(nc, welcome[:]); err != nil {
-			t.Fatalf("v%d hello: reading welcome: %v", v, err)
-		}
-		if got := binary.LittleEndian.Uint32(welcome[4:8]); got != v {
-			t.Fatalf("v%d hello answered with version %d; legacy clients reject anything but their own", v, got)
-		}
-		dims := int(binary.LittleEndian.Uint32(welcome[8:12]))
-		points := int64(binary.LittleEndian.Uint64(welcome[12:20]))
-		if dims != treeA.Dims() || points != int64(treeA.Len()) {
-			t.Fatalf("v%d hello bound to (dims=%d points=%d), want the default tenant (dims=%d points=%d)",
-				v, dims, points, treeA.Dims(), treeA.Len())
-		}
-
-		// And the connection serves queries — from the default tree.
-		req := proto.BeginFrame(nil)
-		req = proto.AppendKNNRequest(req, 1, 3, coordsA[:3], 3)
-		if err := proto.FinishFrame(req, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := proto.ReadFrame(nc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp proto.Response
-		if err := proto.ConsumeResponse(payload, &resp); err != nil {
-			t.Fatal(err)
-		}
-		want := treeA.KNN(coordsA[:3], 3)
-		if len(resp.Flat) != len(want) {
-			t.Fatalf("v%d client got %d neighbors, want %d", v, len(resp.Flat), len(want))
-		}
-		for i := range want {
-			if resp.Flat[i].ID != want[i].ID || resp.Flat[i].Dist2 != want[i].Dist2 {
-				t.Fatalf("v%d client: neighbor %d diverges from the default tree", v, i)
-			}
-		}
+		welcome, err := io.ReadAll(nc) // everything up to the close
 		nc.Close()
+		if err != nil {
+			t.Fatalf("v%d hello: connection not closed after the rejection: %v", v, err)
+		}
+		if len(welcome) < 20 || binary.LittleEndian.Uint32(welcome[4:8]) != proto.Version {
+			t.Fatalf("v%d hello answered %x, want a version-%d welcome", v, welcome, proto.Version)
+		}
+		if dims, points := binary.LittleEndian.Uint32(welcome[8:12]), binary.LittleEndian.Uint64(welcome[12:20]); dims != 0 || points != 0 {
+			t.Fatalf("v%d hello bound a tenant: dims=%d points=%d", v, dims, points)
+		}
+		if _, err := proto.ReadWelcome(bytes.NewReader(welcome)); !errors.Is(err, proto.ErrUnknownDataset) {
+			t.Fatalf("v%d rejection reads as %v, want ErrUnknownDataset", v, err)
+		}
 	}
 }
 

@@ -137,10 +137,6 @@ func traceKindName(kind uint8) string {
 		return "knn"
 	case proto.KindRadius:
 		return "radius"
-	case proto.KindRemoteKNN:
-		return "remote_knn"
-	case proto.KindRemoteRadius:
-		return "remote_radius"
 	case proto.KindShardKNN:
 		return "shard_knn"
 	case proto.KindShardRemoteKNN:

@@ -183,7 +183,7 @@ type Info struct {
 	// so `panda snapshot inspect` shows the exact id clients will bind to.
 	Fingerprint uint64
 	Sections    []SectionInfo
-	Cluster    *ClusterMeta // nil when the snapshot has no cluster section
+	Cluster     *ClusterMeta // nil when the snapshot has no cluster section
 	// ClusterErr reports a cluster section that is present but malformed
 	// (inspect degrades gracefully instead of failing the whole parse).
 	ClusterErr error

@@ -246,4 +246,3 @@ func FuzzClusterManifest(f *testing.F) {
 		}
 	})
 }
-

@@ -86,17 +86,10 @@ func (fs *fakeServer) acceptLoop() {
 
 func (fs *fakeServer) serveConn(nc net.Conn) {
 	defer nc.Close()
-	hello, err := proto.ReadHello(nc)
-	if err != nil {
+	if _, err := proto.ReadHello(nc); err != nil {
 		return
 	}
-	var welcome []byte
-	if proto.LegacyVersion(hello.Version) {
-		welcome = proto.AppendLegacyWelcome(nil, hello.Version, fs.id.Dims, fs.id.Points)
-	} else {
-		welcome = proto.AppendWelcome(nil, fs.id)
-	}
-	if _, err := nc.Write(welcome); err != nil {
+	if _, err := nc.Write(proto.AppendWelcome(nil, fs.id)); err != nil {
 		return
 	}
 	var buf, out []byte
