@@ -98,8 +98,9 @@ type clientResult struct {
 // so spans from different ranks share a scale but not an epoch. A negative
 // Start marks the decode stage, which runs before the arrival stamp.
 type TraceSpan struct {
-	// Stage names the pipeline stage: "decode", "queue_wait", "linger",
-	// "engine", "remote_exchange", or "response_write".
+	// Stage names the pipeline stage: "decode", "queue_wait", "linger"
+	// (draining the intake into the batch), "engine", "remote_exchange", or
+	// "response_write".
 	Stage string
 	// Rank is the cluster rank that recorded the span (-1 on a single-node
 	// server). A traced query routed through the cluster carries spans from
@@ -452,7 +453,7 @@ func (c *Client) KNN(q []float32, k int) ([]Neighbor, error) {
 }
 
 // KNNTraced is KNN with per-stage latency tracing: the server times each
-// pipeline stage the query passes through (queue wait, batching linger,
+// pipeline stage the query passes through (queue wait, batch assembly,
 // engine search, cluster remote exchange, response write) and returns the
 // spans alongside the neighbors. A query routed through a cluster carries
 // spans from every rank that worked on it, tagged with the recording rank.

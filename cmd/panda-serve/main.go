@@ -117,7 +117,6 @@ func main() {
 		threads = flag.Int("threads", 0, "engine threads for tree construction and batched queries (0 = all cores)")
 		addr    = flag.String("addr", ":7077", "listen address (single-node mode)")
 		batch   = flag.Int("batch", 64, "max queries coalesced into one engine call")
-		linger  = flag.Duration("linger", 200*time.Microsecond, "max time to wait filling a batch")
 		grace   = flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
 
 		maxInflight = flag.Int("max-inflight", 0, "admission limit: max queries admitted but unanswered before new requests are shed with an overload error (0 = unbounded)")
@@ -149,12 +148,12 @@ func main() {
 		} else if *snapDir != "" {
 			err = fmt.Errorf("cluster mode serves one dataset per rank; -snapshot-dir is single-node only")
 		} else {
-			err = runCluster(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *batch, *linger, *grace,
+			err = runCluster(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *batch, *grace,
 				snapIn, *snapOut, *rank, splitAddrs(*mesh), splitAddrs(*serveAddrs), *replication, *join, *joinWait, *drain,
 				*maxInflight, *metricsAddr, *traceSample, *slowQuery, *debugPprof)
 		}
 	} else {
-		err = run(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *addr, *batch, *linger, *grace, snaps, *snapDir, *snapOut,
+		err = run(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *addr, *batch, *grace, snaps, *snapDir, *snapOut,
 			*maxInflight, *metricsAddr, *traceSample, *slowQuery, *debugPprof)
 	}
 	if err != nil {
@@ -337,12 +336,12 @@ func tenantList(snaps snapshotFlag, snapDir string) ([]tenantSnap, error) {
 	return tenants, nil
 }
 
-func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr string, batch int, linger, grace time.Duration, snaps snapshotFlag, snapDir, snapOut string, maxInflight int, metricsAddr string, traceSample float64, slowQuery time.Duration, debugPprof bool) error {
+func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr string, batch int, grace time.Duration, snaps snapshotFlag, snapDir, snapOut string, maxInflight int, metricsAddr string, traceSample float64, slowQuery time.Duration, debugPprof bool) error {
 	tenants, err := tenantList(snaps, snapDir)
 	if err != nil {
 		return err
 	}
-	cfg := server.Config{MaxBatch: batch, MaxLinger: linger, MaxInFlight: maxInflight,
+	cfg := server.Config{MaxBatch: batch, MaxInFlight: maxInflight,
 		TraceSample: traceSample, SlowQuery: slowQuery}
 
 	var srv *server.Server
@@ -394,7 +393,7 @@ func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr
 	if err != nil {
 		return err
 	}
-	log.Printf("serving on %s (batch=%d linger=%v max-inflight=%d)", ln.Addr(), batch, linger, maxInflight)
+	log.Printf("serving on %s (batch=%d max-inflight=%d)", ln.Addr(), batch, maxInflight)
 	return serveUntilSignal(srv, ln, grace, false, stopMetrics)
 }
 
@@ -444,7 +443,7 @@ func startMetrics(srv *server.Server, addr string, debugPprof bool) (func(contex
 // (join the rank mesh, build this rank's DistTree shard) or the warm path
 // (-snapshot: restore the shard and global tree from the rank's snapshot
 // file, no mesh at all), then serve external clients on serveAddrs[rank].
-func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, batch int, linger, grace time.Duration,
+func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, batch int, grace time.Duration,
 	snapIn, snapOut string, rank int, mesh, serveAddrs []string, replication int, join bool, joinWait time.Duration, drain bool,
 	maxInflight int, metricsAddr string, traceSample float64, slowQuery time.Duration, debugPprof bool) error {
 	if rank < 0 || rank >= len(serveAddrs) {
@@ -465,7 +464,7 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 	var dt *panda.DistTree
 	var total int64
 	ccfg := server.ClusterConfig{
-		Config: server.Config{MaxBatch: batch, MaxLinger: linger, MaxInFlight: maxInflight,
+		Config: server.Config{MaxBatch: batch, MaxInFlight: maxInflight,
 			TraceSample: traceSample, SlowQuery: slowQuery},
 		ServeAddrs: serveAddrs,
 	}
@@ -575,7 +574,7 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 	if err != nil {
 		return err
 	}
-	log.Printf("rank %d: serving on %s (batch=%d linger=%v max-inflight=%d)", rank, ln.Addr(), batch, linger, maxInflight)
+	log.Printf("rank %d: serving on %s (batch=%d max-inflight=%d)", rank, ln.Addr(), batch, maxInflight)
 	return serveUntilSignal(srv, ln, grace, drain, stopMetrics)
 }
 

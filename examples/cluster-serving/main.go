@@ -103,7 +103,7 @@ func main() {
 	servers := make([]*server.Server, ranks)
 	for r := 0; r < ranks; r++ {
 		servers[r], err = server.NewCluster(dts[r], server.ClusterConfig{
-			Config:      server.Config{MaxBatch: 64, MaxLinger: 200 * time.Microsecond},
+			Config:      server.Config{MaxBatch: 64},
 			ServeAddrs:  serveAddrs,
 			TotalPoints: n,
 		})

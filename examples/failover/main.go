@@ -96,7 +96,7 @@ func main() {
 		}
 		defer cs.Close()
 		servers[r], err = server.NewCluster(cs.Tree, server.ClusterConfig{
-			Config:            server.Config{MaxBatch: 64, MaxLinger: 200 * time.Microsecond},
+			Config:            server.Config{MaxBatch: 64},
 			ServeAddrs:        serveAddrs,
 			TotalPoints:       n,
 			ReplicaSets:       cs.ReplicaSets,

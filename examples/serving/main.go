@@ -36,9 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Start the server on a loopback port; micro-batch up to 64 queries,
-	// lingering at most 200µs for stragglers.
-	srv := server.New(tree, server.Config{MaxBatch: 64, MaxLinger: 200 * time.Microsecond})
+	// Start the server on a loopback port; each dispatch round takes up to
+	// 64 of the queries already queued, without waiting for more.
+	srv := server.New(tree, server.Config{MaxBatch: 64})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

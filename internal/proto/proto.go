@@ -164,7 +164,7 @@ const maxErrorLen = 4096
 const (
 	StageDecode         uint8 = iota // frame read + request decode, before arrival
 	StageQueueWait                   // arrival → dequeue by the dispatcher or router
-	StageLinger                      // dequeue → batch close (micro-batch coalescing)
+	StageLinger                      // dequeue → batch close (draining the intake into the round)
 	StageEngine                      // local tree compute (KNN/radius kernels)
 	StageRemoteExchange              // cluster forwarding + remote-candidate exchange
 	StageResponseWrite               // response encode + conn write

@@ -323,9 +323,9 @@ func (rt *router) route(p *pending) {
 
 // localStage runs one request through this rank's micro-batching dispatcher
 // and returns copies of the results (the dispatcher's arenas are reused)
-// plus the dispatcher-side stage breakdown (intake wait, linger, engine) so
-// the routed request can attribute its owner-local time to the right
-// stages. Returned offsets are 0-based.
+// plus the dispatcher-side stage breakdown (intake wait, batch assembly,
+// engine) so the routed request can attribute its owner-local time to the
+// right stages. Returned offsets are 0-based.
 func (rt *router) localStage(kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, stageBreakdown, error) {
 	s := rt.s
 	lp := s.getPending()
@@ -654,8 +654,8 @@ func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *tra
 
 // shardRadiusAt fetches shard t's points within r2 of q from its first live
 // holder, mirroring shardCandidates. Each leg charges p's stage trail:
-// dispatcher legs split into queue/linger/engine, local replica scans count
-// as engine, peer round-trips as remote exchange.
+// dispatcher legs split into queue/linger (batch assembly)/engine, local
+// replica scans count as engine, peer round-trips as remote exchange.
 func (rt *router) shardRadiusAt(p *pending, t int, q []float32, r2 float32) ([]panda.Neighbor, error) {
 	holders := rt.liveHolders(t, nil)
 	if len(holders) == 0 {
@@ -846,7 +846,7 @@ func (rt *router) routeFetchSection(p *pending) {
 		rt.writeError(p, err)
 		return
 	}
-	rt.write(p.c, buf)
+	rt.write(p, buf)
 	rt.finish(p, writeStart, nil)
 }
 
@@ -889,7 +889,7 @@ func (rt *router) writeNeighbors(p *pending, res [][]panda.Neighbor) {
 		rt.writeError(p, err)
 		return
 	}
-	rt.write(p.c, buf)
+	rt.write(p, buf)
 	rt.finish(p, writeStart, nil)
 }
 
@@ -899,7 +899,7 @@ func (rt *router) writeError(p *pending, err error) {
 	buf := proto.BeginFrame(nil)
 	buf = proto.AppendErrorResponse(buf, p.req.ID, err.Error())
 	if proto.FinishFrame(buf, 0) == nil {
-		rt.write(p.c, buf)
+		rt.write(p, buf)
 	}
 	rt.finish(p, writeStart, err)
 }
@@ -917,9 +917,10 @@ func (rt *router) finish(p *pending, writeStart time.Time, err error) {
 
 // write delivers one framed response; failures close the connection, like
 // the dispatcher's write path.
-func (rt *router) write(c *conn, buf []byte) {
-	if c.writeFrame(buf, rt.s.cfg.WriteTimeout) != nil {
-		rt.s.removeConn(c)
-		c.close()
+func (rt *router) write(p *pending, buf []byte) {
+	rt.s.releaseAdmission(p)
+	if p.c.writeFrame(buf, rt.s.cfg.WriteTimeout) != nil {
+		rt.s.removeConn(p.c)
+		p.c.close()
 	}
 }

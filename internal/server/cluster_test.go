@@ -143,7 +143,7 @@ func TestClusterServingE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond})
+	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48})
 
 	var total, forwarded int
 	var mu sync.Mutex

@@ -22,7 +22,7 @@ import (
 // notice a killed rank in milliseconds instead of seconds.
 func replicatedTestConfig() ClusterConfig {
 	return ClusterConfig{
-		Config:            Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond},
+		Config:            Config{MaxBatch: 48},
 		PeerDialTimeout:   2 * time.Second,
 		PeerCallTimeout:   5 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -169,7 +169,7 @@ func TestReplicaFailoverKillRankE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond})
+	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48})
 	dir := t.TempDir()
 	writeReplicatedSnapshot(t, tc, dir, 2)
 
@@ -317,7 +317,7 @@ func TestJoinStreamsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond})
+	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48})
 	buildDir := t.TempDir()
 	writeReplicatedSnapshot(t, tc, buildDir, 2)
 
@@ -507,7 +507,7 @@ func TestPeerDialBackoff(t *testing.T) {
 func TestSingleNodeRejectsClusterKinds(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 500, dims)
-	_, addr := startServer(t, tree, Config{MaxLinger: 50 * time.Microsecond})
+	_, addr := startServer(t, tree, Config{})
 	nc := rawDial(t, addr)
 	defer nc.Close()
 

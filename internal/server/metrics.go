@@ -4,7 +4,7 @@
 //
 // Request latency is measured from the moment the reader goroutine decodes
 // a request off the wire to the moment its response is handed to the
-// connection writer, so it includes intake queueing, micro-batch linger,
+// connection writer, so it includes intake queueing, micro-batch assembly,
 // engine time, and (cluster mode) forwarding and remote-candidate
 // round-trips — the latency a client actually experiences minus the network
 // hop. Stats/ping requests are not observed: they carry no query work and
@@ -96,10 +96,6 @@ func (m *metrics) observe(kind uint8, d time.Duration) {
 // differently (see pending.dispatchStages / pending.routeStages).
 func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]time.Duration, reqErr error) {
 	e2e := end.Sub(p.arrived)
-	s.metrics.observe(p.req.Kind, e2e)
-	if p.eng != nil {
-		p.eng.latency.observe(e2e)
-	}
 	for i := range st {
 		s.metrics.stages[i].observe(st[i])
 	}
@@ -113,6 +109,12 @@ func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]t
 	if p.trace != nil || slow {
 		s.traces.put(s.buildTrace(p, st, e2e, end, slow, reqErr))
 	}
+	// The end-to-end histogram goes last: once its count reaches n, the
+	// stage, slow and trace records of those n requests are all in place.
+	if p.eng != nil {
+		p.eng.latency.observe(e2e)
+	}
+	s.metrics.observe(p.req.Kind, e2e)
 }
 
 // WriteMetrics writes the server's counters, gauges, and latency histogram

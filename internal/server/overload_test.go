@@ -30,9 +30,10 @@ func TestAdmissionControlUnderClosedLoopHammer(t *testing.T) {
 		k       = 4
 	)
 	tree, coords := testTree(t, n, dims)
-	srv, addr := startServer(t, tree, Config{
+	// The dispatcher starts held, so the first two batches park in the
+	// intake and the limit sheds for certain before the hammer runs free.
+	srv, addr, release := startHeldServer(t, tree, Config{
 		MaxBatch:    8,
-		MaxLinger:   200 * time.Microsecond,
 		MaxInFlight: 2 * nq, // two batches in flight; the rest shed
 	})
 
@@ -75,6 +76,8 @@ func TestAdmissionControlUnderClosedLoopHammer(t *testing.T) {
 			}
 		}(w)
 	}
+	waitUntil(t, "a shed request", func() bool { return srv.Stats().Shed > 0 })
+	release()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -114,22 +117,17 @@ func (e *mismatchError) Error() string {
 func TestOverloadKeepsConnectionUsable(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 1000, dims)
-	// MaxInFlight 1 with a long linger: the first query of a 2-query batch
-	// is admitted and parks in the intake; any query arriving while it
-	// lingers is over the limit.
-	_, addr := startServer(t, tree, Config{
-		MaxBatch:    64,
-		MaxLinger:   100 * time.Millisecond,
-		MaxInFlight: 1,
-	})
+	// MaxInFlight 1 with the dispatcher held: the first query to arrive is
+	// admitted and parks in the intake; every later one is over the limit.
+	srv, addr, release := startHeldServer(t, tree, Config{MaxInFlight: 1})
 	c, err := panda.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Fire a volley of concurrent single queries; with limit 1 and a long
-	// linger at least one is refused and at least one admitted.
+	// Fire a volley of concurrent single queries; with limit 1 and nothing
+	// dispatched, exactly one is admitted and the rest are refused.
 	const volley = 8
 	var wg sync.WaitGroup
 	var ok, over atomic.Int64
@@ -146,12 +144,13 @@ func TestOverloadKeepsConnectionUsable(t *testing.T) {
 			}
 		}()
 	}
+	waitUntil(t, "one admitted and the rest refused", func() bool {
+		return len(srv.intake) == 1 && over.Load() == volley-1
+	})
+	release()
 	wg.Wait()
-	if ok.Load() == 0 || over.Load() == 0 {
-		t.Fatalf("volley split ok=%d overloaded=%d, want both outcomes", ok.Load(), over.Load())
-	}
-	if ok.Load()+over.Load() != volley {
-		t.Fatalf("%d of %d queries failed with a non-overload error", volley-ok.Load()-over.Load(), volley)
+	if ok.Load() != 1 || over.Load() != volley-1 {
+		t.Fatalf("volley split ok=%d overloaded=%d, want 1 and %d", ok.Load(), over.Load(), volley-1)
 	}
 	// The same connection still answers: the refusals cost nothing.
 	want := tree.KNN(coords[:dims], 3)
@@ -171,7 +170,7 @@ func TestOverloadKeepsConnectionUsable(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 1000, dims)
-	srv, addr := startServer(t, tree, Config{MaxLinger: 50 * time.Microsecond})
+	srv, addr := startServer(t, tree, Config{})
 	c, err := panda.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +186,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waitObserved(t, srv, queries+1)
 	rec := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {

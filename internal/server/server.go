@@ -10,16 +10,18 @@
 // The server's core mechanism converts independent single-query client
 // traffic into the batched engine's hot path. Each connection has a reader
 // goroutine that decodes requests and enqueues them on a shared intake
-// queue. A dispatcher goroutine coalesces whatever has accumulated — up to
-// Config.MaxBatch queries, waiting at most Config.MaxLinger for stragglers
-// — groups the KNN queries by k, concatenates their coordinates, and
-// answers each group with one Tree.KNNBatchFlatInto call on the pooled
-// zero-allocation engine. Responses are then fanned back out to the waiting
-// connections. A thousand independent clients therefore get batched-engine
-// throughput without changing their one-query-at-a-time API; the cost is at
-// most MaxLinger of added latency when traffic is sparse. Radius queries
-// ride in the same intake but execute individually against pooled
-// searchers (they have no fixed result size to batch into an arena).
+// queue. A dispatcher goroutine takes whatever has accumulated — up to
+// Config.MaxBatch queries, never waiting for more — groups the KNN queries
+// by k, concatenates their coordinates, and answers each group with one
+// Tree.KNNBatchFlatInto call on the pooled zero-allocation engine.
+// Responses are then fanned back out to the waiting connections. Batching
+// is natural: requests that arrive while one round runs are the next
+// round's batch, so batches grow with load, and a lone query on an idle
+// server is dispatched at once. A thousand independent clients therefore
+// get batched-engine throughput without changing their one-query-at-a-time
+// API. Radius queries ride in the same intake but execute individually
+// against pooled searchers (they have no fixed result size to batch into
+// an arena).
 //
 // Request structs, coordinate buffers, result arenas, and response encode
 // buffers are all recycled, so the steady-state dispatch loop performs zero
@@ -85,13 +87,6 @@ type Config struct {
 	// engine call (default 64). A single oversize batch request still runs
 	// whole.
 	MaxBatch int
-	// MaxLinger is how long the dispatcher waits for more queries once it
-	// has at least one (default 200µs). Zero means "grab only what has
-	// already accumulated".
-	MaxLinger time.Duration
-	// LingerSet reports whether MaxLinger zero is intentional; leave false
-	// to get the default.
-	LingerSet bool
 	// WriteTimeout bounds each response write (default 2s). The single
 	// dispatcher writes responses synchronously, so a client that stops
 	// draining its socket head-of-line blocks other responses for up to
@@ -127,9 +122,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxLinger <= 0 && !c.LingerSet {
-		c.MaxLinger = 200 * time.Microsecond
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 2 * time.Second
@@ -181,6 +173,10 @@ type Server struct {
 
 	dispatcherUp   bool
 	dispatcherDone chan struct{}
+	// hold, when non-nil, parks the dispatcher at the top of every round
+	// until it is closed; tests set it before Serve to queue requests that
+	// are read but not yet dispatched. Always nil outside tests.
+	hold chan struct{}
 
 	pendingPool sync.Pool
 
@@ -566,7 +562,7 @@ type pending struct {
 	arrived time.Time
 	// admitted is the query weight this request holds against the server's
 	// in-flight admission limit (0 when admission control is off or the
-	// request is exempt); released by putPending.
+	// request is exempt); released by releaseAdmission.
 	admitted int64
 
 	// Stage boundary stamps (see proto.StageNames), one time.Now() each:
@@ -664,11 +660,18 @@ func (s *Server) getPending() *pending {
 	return &pending{}
 }
 
-func (s *Server) putPending(p *pending) {
+// releaseAdmission returns p's weight to the admission limit. Response
+// writers call it before the bytes leave, so a client holding its answer is
+// never shed by its own finished request; putPending covers the rest.
+func (s *Server) releaseAdmission(p *pending) {
 	if p.admitted > 0 {
 		s.inflight.Add(-p.admitted)
 		p.admitted = 0
 	}
+}
+
+func (s *Server) putPending(p *pending) {
+	s.releaseAdmission(p)
 	p.c = nil
 	p.done = nil
 	p.eng = nil
@@ -903,17 +906,18 @@ func newDispatcher(s *Server) *dispatcher {
 	return &dispatcher{s: s, offs2: make([]int32, 2)}
 }
 
-// dispatch is the micro-batching loop: block for one request, linger up to
-// MaxLinger (or MaxBatch queries) for stragglers, process, repeat. Exits
-// when the intake closes, after draining everything still queued.
+// dispatch is the micro-batching loop: block for one request, take what
+// else is already queued without blocking (up to MaxBatch queries),
+// process, repeat. Nothing waits on a clock: whatever arrives during one
+// round is picked up by the next. Exits when the intake closes, after
+// draining everything still queued.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	d := newDispatcher(s)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
+		if s.hold != nil {
+			<-s.hold
+		}
 		p, ok := <-s.intake
 		if !ok {
 			return
@@ -934,30 +938,6 @@ func (s *Server) dispatch() {
 				total += p2.req.NQ
 			default:
 				break drain
-			}
-		}
-		// Linger for stragglers to fill the batch.
-		if total < s.cfg.MaxBatch && s.cfg.MaxLinger > 0 {
-			timer.Reset(s.cfg.MaxLinger)
-		linger:
-			for total < s.cfg.MaxBatch {
-				select {
-				case p2, ok2 := <-s.intake:
-					if !ok2 {
-						break linger
-					}
-					p2.dequeued = time.Now()
-					d.batch = append(d.batch, p2)
-					total += p2.req.NQ
-				case <-timer.C:
-					break linger
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
 			}
 		}
 		d.process()
@@ -1109,6 +1089,7 @@ func (d *dispatcher) respondError(p *pending, err error) {
 // connection pays at most one WriteTimeout before every later response to
 // it is skipped via the dead flag.
 func (d *dispatcher) write(p *pending, buf []byte) {
+	d.s.releaseAdmission(p)
 	if p.c.writeFrame(buf, d.s.cfg.WriteTimeout) != nil {
 		d.s.removeConn(p.c)
 		p.c.close()

@@ -33,6 +33,47 @@ func testTree(t testing.TB, n, dims int) (*panda.Tree, []float32) {
 func startServer(t testing.TB, tree *panda.Tree, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(tree, cfg)
+	return srv, serveLoopback(t, srv)
+}
+
+// startHeldServer is startServer with the dispatcher held before its first
+// round: requests are read off the wire and queued on the intake but not
+// dispatched until release is called (cleanup releases it too).
+func startHeldServer(t testing.TB, tree *panda.Tree, cfg Config) (srv *Server, addr string, release func()) {
+	t.Helper()
+	srv = New(tree, cfg)
+	srv.hold = make(chan struct{})
+	addr = serveLoopback(t, srv)
+	var once sync.Once
+	release = func() { once.Do(func() { close(srv.hold) }) }
+	t.Cleanup(release) // runs before serveLoopback's Shutdown
+	return srv, addr, release
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitObserved waits until srv has observed n answered requests. The server
+// observes a request just after writing its response, so a client holding
+// its last answer must wait here before reading metrics or traces.
+func waitObserved(t testing.TB, srv *Server, n int64) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d observed requests", n), func() bool { return srv.metrics.latency.count.Load() >= n })
+}
+
+// serveLoopback serves srv on a loopback port and returns the address; a
+// test cleanup shuts it down.
+func serveLoopback(t testing.TB, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +88,7 @@ func startServer(t testing.TB, tree *panda.Tree, cfg Config) (*Server, string) {
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 func sameNeighbors(got, want []panda.Neighbor) bool {
@@ -73,7 +114,7 @@ func TestServeLoopbackE2E(t *testing.T) {
 		opsPer  = 24
 	)
 	tree, _ := testTree(t, nPoints, dims)
-	_, addr := startServer(t, tree, Config{MaxBatch: 48, MaxLinger: 100 * time.Microsecond})
+	_, addr := startServer(t, tree, Config{MaxBatch: 48})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -179,15 +220,14 @@ func frame(t *testing.T, encode func(b []byte) []byte) []byte {
 	return b
 }
 
-// TestClientDisconnectMidBatch kills a connection right after it enqueued
-// requests destined for a lingering batch; the dispatcher must drop the
-// dead connection's responses and keep serving everyone else.
+// TestClientDisconnectMidBatch kills a connection whose requests are queued
+// but not yet dispatched, in the same batch as a healthy client's; the
+// dispatcher must drop the dead connection's responses and keep serving
+// everyone else.
 func TestClientDisconnectMidBatch(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 2000, dims)
-	// Long linger so the doomed requests are still waiting when the
-	// connection dies.
-	_, addr := startServer(t, tree, Config{MaxBatch: 1024, MaxLinger: 50 * time.Millisecond})
+	srv, addr, release := startHeldServer(t, tree, Config{})
 
 	nc := rawDial(t, addr)
 	for i := 0; i < 4; i++ {
@@ -198,17 +238,31 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(10 * time.Millisecond) // let the reader enqueue them
-	nc.Close()                        // disconnect mid-batch
-
-	// A healthy client must still get correct answers through the same
-	// dispatcher, including from the batch the dead connection was in.
 	c, err := panda.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	q0 := coords[10*dims : 11*dims]
+	first := make(chan error, 1)
+	go func() {
+		got, err := c.KNN(q0, 4)
+		if err == nil && !sameNeighbors(got, tree.KNN(q0, 4)) {
+			err = fmt.Errorf("answer differs from the tree")
+		}
+		first <- err
+	}()
+	waitUntil(t, "5 queued requests", func() bool { return len(srv.intake) == 5 })
+	nc.Close() // disconnect mid-batch
+	waitUntil(t, "the server to drop the dead connection", func() bool { return srv.Stats().ActiveConns == 1 })
+	release()
+
+	// The healthy client's query shared the dead connection's batch; it and
+	// later queries through the same dispatcher must answer correctly.
+	if err := <-first; err != nil {
+		t.Fatalf("KNN batched with the dead connection: %v", err)
+	}
+	for i := 1; i < 4; i++ {
 		q := coords[(10+i)*dims : (11+i)*dims]
 		got, err := c.KNN(q, 4)
 		if err != nil {
@@ -222,14 +276,13 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 
 // TestShutdownDrainsInflight checks the graceful-drain guarantee: requests
 // read off the wire before Shutdown get correct responses even though the
-// batch they sit in has not dispatched yet when Shutdown fires.
+// dispatcher has not taken them off the intake when Shutdown fires.
 func TestShutdownDrainsInflight(t *testing.T) {
 	const dims = 3
 	const inflight = 8
 	tree, coords := testTree(t, 2000, dims)
-	// Huge linger and batch: without the drain path these requests would
-	// sit un-answered for a second.
-	srv := New(tree, Config{MaxBatch: 1024, MaxLinger: time.Second})
+	srv := New(tree, Config{})
+	srv.hold = make(chan struct{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,15 +308,19 @@ func TestShutdownDrainsInflight(t *testing.T) {
 			results <- res{i, nb, err}
 		}(i)
 	}
-	// Wait until the server has read all of them off the wire, then drain.
-	time.Sleep(100 * time.Millisecond)
+	// Wait until the server has queued all of them, start the drain, and let
+	// the dispatcher run only once Shutdown has closed the listener.
+	waitUntil(t, "queued requests", func() bool { return len(srv.intake) == inflight })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(ctx) }()
 	if err := <-serveErr; err != ErrServerClosed {
 		t.Errorf("Serve returned %v, want ErrServerClosed", err)
+	}
+	close(srv.hold)
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	for i := 0; i < inflight; i++ {
 		r := <-results
@@ -280,13 +337,65 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
+// TestNaturalBatching pins that batching needs no timer: requests that
+// queue while the dispatcher is busy (held here) form one round's batch,
+// split only at MaxBatch, and every answer stays bit-identical to Tree.KNN.
+func TestNaturalBatching(t *testing.T) {
+	const (
+		dims    = 3
+		queries = 10
+		k       = 8
+	)
+	tree, coords := testTree(t, 2000, dims)
+	for _, tc := range []struct {
+		maxBatch int
+		rounds   int64
+	}{{64, 1}, {8, 2}} {
+		t.Run(fmt.Sprintf("max_batch=%d", tc.maxBatch), func(t *testing.T) {
+			srv, addr, release := startHeldServer(t, tree, Config{MaxBatch: tc.maxBatch})
+			var clients [2]*panda.Client
+			for i := range clients {
+				c, err := panda.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+			errs := make(chan error, queries)
+			for i := 0; i < queries; i++ {
+				go func(i int) {
+					q := coords[i*dims : (i+1)*dims]
+					got, err := clients[i%2].KNN(q, k)
+					if err == nil && !sameNeighbors(got, tree.KNN(q, k)) {
+						err = fmt.Errorf("query %d: answer differs from Tree.KNN", i)
+					}
+					errs <- err
+				}(i)
+			}
+			waitUntil(t, "queued queries", func() bool { return len(srv.intake) == queries })
+			before := srv.Stats().Batches
+			release()
+			for i := 0; i < queries; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := srv.Stats().Batches - before; got != tc.rounds {
+				t.Fatalf("%d queued queries took %d dispatch rounds at MaxBatch %d, want %d",
+					queries, got, tc.maxBatch, tc.rounds)
+			}
+		})
+	}
+}
+
 // TestMalformedRequestGetsError checks the hostile-bytes path: a framed but
 // semantically invalid request is answered with KindError, and a garbage
 // frame closes the connection without taking the server down.
 func TestMalformedRequestGetsError(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 500, dims)
-	_, addr := startServer(t, tree, Config{MaxLinger: 50 * time.Microsecond})
+	_, addr := startServer(t, tree, Config{})
 
 	// Semantic errors (wrong coordinate count, oversize nq×k) are answered
 	// with KindError and the connection stays usable.

@@ -21,7 +21,7 @@ func TestServerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(tree, Config{MaxBatch: 16, MaxLinger: 50 * time.Microsecond})
+	srv := New(tree, Config{MaxBatch: 16})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

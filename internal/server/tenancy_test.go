@@ -81,8 +81,8 @@ func TestTenancyMixedWorkloadBitIdentical(t *testing.T) {
 	if err := reg.Add("beta", treeB); err != nil {
 		t.Fatal(err)
 	}
-	multi, multiAddr := startMulti(t, reg, Config{MaxBatch: 8, MaxLinger: 100 * time.Microsecond})
-	_, soloAAddr := startServer(t, treeA, Config{MaxBatch: 8, MaxLinger: 100 * time.Microsecond})
+	multi, multiAddr := startMulti(t, reg, Config{MaxBatch: 8})
+	_, soloAAddr := startServer(t, treeA, Config{MaxBatch: 8})
 
 	soloB, err := NewMulti(func() *Registry {
 		r := NewRegistry()
@@ -90,7 +90,7 @@ func TestTenancyMixedWorkloadBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
-	}(), Config{MaxBatch: 8, MaxLinger: 100 * time.Microsecond})
+	}(), Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,6 +81,7 @@ func TestStageMetricsReconcileSingleNode(t *testing.T) {
 		}
 	}
 
+	waitObserved(t, srv, 55)
 	m := writeExposition(t, srv)
 	if got := m["panda_request_latency_seconds_count"]; got != 55 {
 		t.Fatalf("end-to-end count = %v, want 55", got)
@@ -276,6 +277,7 @@ func TestServerSampledTracing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitObserved(t, srv, 8)
 	traces := srv.Traces()
 	if len(traces) != 8 {
 		t.Fatalf("captured %d traces, want 8", len(traces))
@@ -310,6 +312,7 @@ func TestSlowQueryCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitObserved(t, srv, 5)
 	traces := srv.Traces()
 	if len(traces) != 5 {
 		t.Fatalf("captured %d traces, want 5", len(traces))
@@ -348,6 +351,7 @@ func TestTracesHandlerJSON(t *testing.T) {
 		}
 	}
 
+	waitObserved(t, srv, 3)
 	rec := httptest.NewRecorder()
 	srv.TracesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if rec.Code != 200 {

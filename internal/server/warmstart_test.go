@@ -36,7 +36,7 @@ func TestWarmStartSingleServerE2E(t *testing.T) {
 	defer warm.Close()
 	warm.SetThreads(4)
 
-	srv := New(warm, Config{MaxBatch: 32, MaxLinger: 50 * time.Microsecond})
+	srv := New(warm, Config{MaxBatch: 32})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestWarmStartClusterE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond})
+	tc := startCluster(t, coords, dims, p, Config{MaxBatch: 48})
 
 	// Persist every rank's shard (collective: the cluster total rides an
 	// all-reduce over the mesh).
@@ -196,7 +196,7 @@ func TestWarmStartClusterE2E(t *testing.T) {
 	servers := make([]*Server, p)
 	for r := 0; r < p; r++ {
 		servers[r], err = NewCluster(warm[r], ClusterConfig{
-			Config:      Config{MaxBatch: 48, MaxLinger: 50 * time.Microsecond},
+			Config:      Config{MaxBatch: 48},
 			ServeAddrs:  addrs,
 			TotalPoints: warm[r].TotalPoints(),
 		})
