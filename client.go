@@ -3,9 +3,9 @@ package panda
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"panda/internal/geom"
@@ -14,12 +14,6 @@ import (
 
 // ErrClientClosed is returned by Client calls after Close.
 var ErrClientClosed = errors.New("panda: client closed")
-
-// errConnLost marks transport-level failures — broken connections, failed
-// sends, malformed frames. Calls failing with it are safe to retry on a
-// fresh connection (KNN/radius/stats are pure reads); semantic server
-// errors (KindError responses) never wrap it.
-var errConnLost = errors.New("panda: connection lost")
 
 // ErrOverloaded marks a query the server refused at its admission limit
 // (Config.MaxInFlight) instead of queueing it. The connection stays healthy
@@ -44,26 +38,21 @@ var errNonFiniteQuery = errors.New("panda: non-finite query input (NaN/±Inf coo
 // flight — which is exactly what the server's dynamic micro-batcher
 // coalesces into batched engine calls.
 //
-// Clients dialed with DialRetry/DialClusterRetry additionally reconnect and
-// retry idempotent calls after transport failures; see RetryPolicy.
+// Clients dialed with a Dialer whose Retry policy allows more than one
+// attempt additionally reconnect and retry idempotent calls after transport
+// failures; see RetryPolicy.
 type Client struct {
 	id      proto.DatasetID // dataset the connection bound to at handshake
 	dataset string          // requested selector ("" = server default); redials reuse it
 	addrs   []string        // redial targets, preference order
-	retry   RetryPolicy     // zero value: no retries, no reconnect
+	retry   RetryPolicy     // defaults applied; Attempts 1: no retries, no reconnect
 
-	wmu  sync.Mutex // serializes request writes
-	wbuf []byte
+	conn atomic.Pointer[proto.Conn] // current connection; swapped by reconnect
+	rmu  sync.Mutex                 // serializes reconnect attempts
 
-	rmu sync.Mutex // serializes reconnect attempts
-
-	mu      sync.Mutex
-	nc      net.Conn // current connection; swapped by reconnect
-	closed  bool     // explicit Close: reconnect refuses to resurrect
-	nextID  uint64   // never reset, so ids stay unique across reconnects
-	rng     uint64   // trace-id generator state (xorshift64, lazily seeded)
-	pending map[uint64]chan clientResult
-	err     error // sticky per connection; cleared by a successful reconnect
+	mu     sync.Mutex
+	closed bool   // explicit Close: reconnect refuses to resurrect
+	rng    uint64 // trace-id generator state (xorshift64, lazily seeded)
 }
 
 // newTraceID returns a fresh nonzero trace id.
@@ -81,15 +70,6 @@ func (c *Client) newTraceID() uint64 {
 			return c.rng
 		}
 	}
-}
-
-// clientResult is one decoded response handed to a waiter.
-type clientResult struct {
-	flat    []Neighbor
-	offsets []int32
-	stats   *ServerStats
-	spans   []TraceSpan
-	err     error
 }
 
 // TraceSpan is one stage of a traced query's latency decomposition, as
@@ -113,11 +93,13 @@ type TraceSpan struct {
 	Dur int64
 }
 
-// ServerStats are the serving counters reported by a panda server (see
-// internal/server.Stats; in a cluster each rank reports its own).
+// ServerStats are the serving counters reported by a panda server (the
+// server package's Stats is this type; in a cluster each rank reports its
+// own).
 type ServerStats struct {
 	// Queries answered since the server started (batch requests count each
-	// contained query).
+	// contained query; routed cluster queries count at the rank whose
+	// dispatcher ran them).
 	Queries int64
 	// Batches is the number of coalesced dispatch rounds the server ran.
 	Batches int64
@@ -126,7 +108,9 @@ type ServerStats struct {
 	MeanBatchSize float64
 	// ActiveConns is the server's current open-connection count.
 	ActiveConns int
-	// PeerFailures counts the rank's failed peer calls (transport level).
+	// PeerFailures counts the rank's peer calls that failed at the
+	// transport level: dial errors, broken connections, malformed responses
+	// and call timeouts.
 	PeerFailures int64
 	// Failovers counts shard queries the rank answered via a replica
 	// because the shard's primary was unreachable.
@@ -141,7 +125,8 @@ type ServerStats struct {
 	Shed int64
 }
 
-// DialTimeout bounds connection establishment and the handshake in Dial.
+// clientDialTimeout bounds each connection attempt (connect plus
+// handshake) made by Dial and by reconnects.
 const clientDialTimeout = 10 * time.Second
 
 // DatasetID identifies the dataset a client is bound to: the server-side
@@ -174,96 +159,71 @@ func publicID(id proto.DatasetID) DatasetID {
 	return DatasetID{Name: id.Name, Dims: id.Dims, Points: id.Points, Fingerprint: id.Fingerprint}
 }
 
-// dialConn establishes one connection and runs the handshake, requesting
-// dataset ("" = the server's default tenant).
-func dialConn(addr, dataset string) (net.Conn, proto.DatasetID, error) {
-	nc, err := net.DialTimeout("tcp", addr, clientDialTimeout)
-	if err != nil {
-		return nil, proto.DatasetID{}, err
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	nc.SetDeadline(time.Now().Add(clientDialTimeout))
-	if _, err := nc.Write(proto.AppendHello(nil, dataset)); err != nil {
-		nc.Close()
-		return nil, proto.DatasetID{}, fmt.Errorf("panda: handshake: %w", err)
-	}
-	id, err := proto.ReadWelcome(nc)
-	if err != nil {
-		nc.Close()
-		return nil, proto.DatasetID{}, fmt.Errorf("panda: handshake: %w", err)
-	}
-	nc.SetDeadline(time.Time{})
-	return nc, id, nil
+// Dialer dials panda servers. The zero value binds the server's default
+// dataset and does not retry; Dial is Dialer{}.Dial.
+type Dialer struct {
+	// Dataset selects one of the tenants a multi-dataset server registered
+	// ("" means the server's default tenant). A server that does not serve
+	// the dataset rejects the handshake with an error naming it.
+	Dataset string
+	// Retry sets dial retries and, for the returned client, reconnect and
+	// retry of idempotent calls after transport failures (see RetryPolicy).
+	// The zero value makes one attempt and never reconnects.
+	Retry RetryPolicy
 }
 
-// dialAny tries each address in order and returns the first that answers
-// the handshake.
-func dialAny(addrs []string, dataset string) (net.Conn, proto.DatasetID, error) {
+// Dial connects to a panda server and binds the server's default dataset;
+// see Dialer.Dial.
+func Dial(addrs ...string) (*Client, error) { return Dialer{}.Dial(addrs...) }
+
+// Dial connects to the first reachable address in addrs and runs the
+// protocol handshake. Pass one address for a single server, or the serving
+// address of every rank of a sharded cluster (panda-serve -cluster): every
+// rank answers every query — a query landing on a non-owner rank is
+// forwarded to its owner inside the cluster — so any rank will do. Earlier
+// addresses are preferred; pass a rotated list to spread clients across
+// ranks. When no address answers, the whole list is retried with jittered
+// exponential backoff, up to d.Retry.Attempts times. Reconnects of a
+// retrying client may land on any listed address that serves the exact
+// dataset the client first bound to.
+func (d Dialer) Dial(addrs ...string) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("panda: Dial needs at least one address")
+	}
+	retry := d.Retry.withDefaults()
+	var err error
+	for attempt := 0; attempt < retry.Attempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(retry.backoff(attempt - 1))
+		}
+		var conn *proto.Conn
+		if conn, err = dialAny(addrs, d.Dataset, proto.DatasetID{}); err == nil {
+			c := &Client{id: conn.ID, dataset: d.Dataset, addrs: addrs, retry: retry}
+			c.conn.Store(conn)
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("panda: dial failed after %d attempt(s): %w", retry.Attempts, err)
+}
+
+// dialAny tries each address in order and returns the first connection
+// that completes the handshake. A non-zero want (a reconnect) also requires
+// the welcome to report exactly that dataset id; addresses that answer with
+// another are closed and skipped, keeping later addresses reachable.
+func dialAny(addrs []string, dataset string, want proto.DatasetID) (*proto.Conn, error) {
 	var errs []error
 	for _, addr := range addrs {
-		nc, id, err := dialConn(addr, dataset)
+		conn, err := proto.Dial(addr, dataset, clientDialTimeout)
 		if err == nil {
-			return nc, id, nil
+			if want == (proto.DatasetID{}) || conn.ID == want {
+				return conn, nil
+			}
+			err = fmt.Errorf("serves a different dataset (%v, want %v)", conn.ID, want)
+			conn.Fail(err)
 		}
 		errs = append(errs, fmt.Errorf("%s: %w", addr, err))
 	}
-	return nil, proto.DatasetID{}, errors.Join(errs...)
-}
-
-// newClient wraps an established connection.
-func newClient(nc net.Conn, id proto.DatasetID, dataset string, addrs []string, retry RetryPolicy) *Client {
-	c := &Client{
-		nc:      nc,
-		id:      id,
-		dataset: dataset,
-		addrs:   addrs,
-		retry:   retry,
-		pending: map[uint64]chan clientResult{},
-	}
-	go c.readLoop(nc)
-	return c
-}
-
-// Dial connects to a panda server at addr and performs the protocol
-// handshake, binding to the server's default dataset. The returned client
-// does not retry; see DialRetry. Multi-tenant servers: see DialDataset.
-func Dial(addr string) (*Client, error) { return DialDataset(addr, "") }
-
-// DialDataset connects to a panda server and binds to the named dataset
-// (one of the tenants the server registered; "" means the server's default
-// tenant). A server that does not serve the dataset rejects the handshake
-// with an error naming it.
-func DialDataset(addr, dataset string) (*Client, error) {
-	nc, id, err := dialConn(addr, dataset)
-	if err != nil {
-		return nil, err
-	}
-	return newClient(nc, id, dataset, []string{addr}, RetryPolicy{}), nil
-}
-
-// DialCluster connects to a sharded panda cluster (panda-serve -cluster):
-// addrs lists the serving address of each rank, in any order. Every rank
-// answers every query — a query landing on a non-owner rank is forwarded to
-// its owner inside the cluster — so DialCluster simply connects to the
-// first reachable rank and returns a normal Client. Ranks earlier in addrs
-// are preferred; pass a rotated slice to spread clients across ranks.
-func DialCluster(addrs []string) (*Client, error) {
-	return DialClusterDataset(addrs, "")
-}
-
-// DialClusterDataset is DialCluster with a dataset selector (see
-// DialDataset).
-func DialClusterDataset(addrs []string, dataset string) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("panda: DialCluster needs at least one address")
-	}
-	nc, id, err := dialAny(addrs, dataset)
-	if err != nil {
-		return nil, fmt.Errorf("panda: no cluster rank reachable: %w", err)
-	}
-	return newClient(nc, id, dataset, addrs, RetryPolicy{}), nil
+	return nil, errors.Join(errs...)
 }
 
 // Dims returns the dimensionality of the served tree; every query must
@@ -283,153 +243,28 @@ func (c *Client) DatasetID() DatasetID { return publicID(c.id) }
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	nc := c.nc
-	if c.err == nil {
-		c.err = ErrClientClosed
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- clientResult{err: ErrClientClosed}
-	}
+	conn := c.conn.Load()
 	c.mu.Unlock()
-	return nc.Close()
-}
-
-// connFailed marks the connection nc dead and releases every waiter. It is
-// a no-op if nc is no longer the client's current connection (a stale
-// reader or writer reporting a failure the reconnect already replaced).
-func (c *Client) connFailed(nc net.Conn, err error) {
-	c.mu.Lock()
-	if c.nc != nc {
-		c.mu.Unlock()
-		return
-	}
-	if c.err == nil {
-		c.err = err
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- clientResult{err: c.err}
-	}
-	c.mu.Unlock()
-	nc.Close()
-}
-
-// readLoop is the single response reader for one connection: it decodes
-// frames and routes them to waiters by request id. A reconnect starts a
-// fresh readLoop for the new connection; this one exits on its conn's
-// first error.
-func (c *Client) readLoop(nc net.Conn) {
-	var buf []byte
-	for {
-		payload, err := proto.ReadFrame(nc, buf)
-		if err != nil {
-			c.connFailed(nc, fmt.Errorf("%w: %w", errConnLost, err))
-			return
-		}
-		buf = payload
-		var resp proto.Response
-		if err := proto.ConsumeResponse(payload, &resp); err != nil {
-			c.connFailed(nc, fmt.Errorf("%w: malformed response: %w", errConnLost, err))
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch == nil {
-			continue // response for an abandoned id; drop
-		}
-		res := clientResult{}
-		switch resp.Kind {
-		case proto.KindError:
-			// Overload refusals keep their sentinel across cluster
-			// forwarding: a non-owner rank wraps the owner's message
-			// ("forward shard N...: peer: overloaded, retry"), so match by
-			// substring, not equality.
-			if strings.Contains(resp.Err, proto.OverloadedMsg) {
-				res.err = fmt.Errorf("%w: server: %s", ErrOverloaded, resp.Err)
-			} else {
-				res.err = fmt.Errorf("panda: server: %s", resp.Err)
-			}
-		case proto.KindStatsResult:
-			st := &ServerStats{
-				Queries:          int64(resp.Stats.Queries),
-				Batches:          int64(resp.Stats.Batches),
-				ActiveConns:      int(resp.Stats.ActiveConns),
-				PeerFailures:     int64(resp.Stats.PeerFailures),
-				Failovers:        int64(resp.Stats.Failovers),
-				Redials:          int64(resp.Stats.Redials),
-				ReplicationBytes: int64(resp.Stats.ReplicationBytes),
-				Shed:             int64(resp.Stats.Shed),
-			}
-			if st.Batches > 0 {
-				st.MeanBatchSize = float64(st.Queries) / float64(st.Batches)
-			}
-			res.stats = st
-		default:
-			// Copy out of the decode scratch: the waiter owns its result.
-			res.flat = append([]Neighbor(nil), resp.Flat...)
-			res.offsets = append([]int32(nil), resp.Offsets...)
-			if len(resp.Spans) > 0 {
-				res.spans = make([]TraceSpan, len(resp.Spans))
-				for i, sp := range resp.Spans {
-					res.spans[i] = TraceSpan{Stage: proto.StageName(sp.Stage), Rank: sp.Rank, Start: sp.Start, Dur: sp.Dur}
-				}
-			}
-		}
-		ch <- res
-	}
-}
-
-// register allocates a request id and its result channel, returning the
-// connection the request must be written to.
-func (c *Client) register() (uint64, chan clientResult, net.Conn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return 0, nil, nil, c.err
-	}
-	id := c.nextID
-	c.nextID++
-	ch := make(chan clientResult, 1)
-	c.pending[id] = ch
-	return id, ch, c.nc, nil
-}
-
-// send frames and writes one encoded request payload to nc.
-func (c *Client) send(nc net.Conn, encode func(b []byte) []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = proto.BeginFrame(c.wbuf[:0])
-	c.wbuf = encode(c.wbuf)
-	if err := proto.FinishFrame(c.wbuf, 0); err != nil {
-		return err
-	}
-	_, err := nc.Write(c.wbuf)
-	return err
+	conn.Fail(ErrClientClosed)
+	return nil
 }
 
 // call issues one request on the current connection and waits for its
-// response (no retries; see callRetry).
-func (c *Client) call(encode func(b []byte, id uint64) []byte) (clientResult, error) {
-	id, ch, nc, err := c.register()
-	if err != nil {
-		return clientResult{}, err
+// response (no retries; see callRetry). A KindError answer becomes an
+// error here: ErrOverloaded for an admission refusal, a plain server error
+// otherwise.
+func (c *Client) call(encode func(b []byte, id uint64) []byte) (proto.Result, error) {
+	res := c.conn.Load().Call(0, encode)
+	if res.Err != nil || res.Kind != proto.KindError {
+		return res, res.Err
 	}
-	if err := c.send(nc, func(b []byte) []byte { return encode(b, id) }); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// The request never reached the server; flag the connection so the
-		// next attempt (and other in-flight callers) redial instead of
-		// writing into a broken pipe.
-		err = fmt.Errorf("%w: send: %w", errConnLost, err)
-		c.connFailed(nc, err)
-		return clientResult{}, err
+	// Overload refusals keep their sentinel across cluster forwarding: a
+	// non-owner rank wraps the owner's message ("forward shard N...: peer:
+	// overloaded, retry"), so match by substring, not equality.
+	if strings.Contains(res.ErrMsg, proto.OverloadedMsg) {
+		return res, fmt.Errorf("%w: server: %s", ErrOverloaded, res.ErrMsg)
 	}
-	res := <-ch
-	return res, res.err
+	return res, fmt.Errorf("panda: server: %s", res.ErrMsg)
 }
 
 // KNN returns the k nearest neighbors of q, exactly as Tree.KNN would.
@@ -449,7 +284,7 @@ func (c *Client) KNN(q []float32, k int) ([]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res.flat, nil
+	return res.Flat, nil
 }
 
 // KNNTraced is KNN with per-stage latency tracing: the server times each
@@ -477,7 +312,11 @@ func (c *Client) KNNTraced(q []float32, k int) ([]Neighbor, []TraceSpan, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.flat, res.spans, nil
+	spans := make([]TraceSpan, len(res.Spans))
+	for i, sp := range res.Spans {
+		spans[i] = TraceSpan{Stage: proto.StageName(sp.Stage), Rank: sp.Rank, Start: sp.Start, Dur: sp.Dur}
+	}
+	return res.Flat, spans, nil
 }
 
 // KNNBatch answers len(queries)/Dims row-major queries in one request;
@@ -503,9 +342,9 @@ func (c *Client) KNNBatch(queries []float32, k int) ([][]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]Neighbor, len(res.offsets)-1)
+	out := make([][]Neighbor, len(res.Offsets)-1)
 	for i := range out {
-		out[i] = res.flat[res.offsets[i]:res.offsets[i+1]:res.offsets[i+1]]
+		out[i] = res.Flat[res.Offsets[i]:res.Offsets[i+1]:res.Offsets[i+1]]
 	}
 	return out, nil
 }
@@ -520,10 +359,23 @@ func (c *Client) Stats() (ServerStats, error) {
 	if err != nil {
 		return ServerStats{}, err
 	}
-	if res.stats == nil {
+	if res.Kind != proto.KindStatsResult {
 		return ServerStats{}, fmt.Errorf("panda: server answered a stats request with a non-stats response")
 	}
-	return *res.stats, nil
+	st := ServerStats{
+		Queries:          int64(res.Stats.Queries),
+		Batches:          int64(res.Stats.Batches),
+		ActiveConns:      int(res.Stats.ActiveConns),
+		PeerFailures:     int64(res.Stats.PeerFailures),
+		Failovers:        int64(res.Stats.Failovers),
+		Redials:          int64(res.Stats.Redials),
+		ReplicationBytes: int64(res.Stats.ReplicationBytes),
+		Shed:             int64(res.Stats.Shed),
+	}
+	if st.Batches > 0 {
+		st.MeanBatchSize = float64(st.Queries) / float64(st.Batches)
+	}
+	return st, nil
 }
 
 // RadiusSearch returns every indexed point with squared distance < r2 from
@@ -541,5 +393,5 @@ func (c *Client) RadiusSearch(q []float32, r2 float32) ([]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res.flat, nil
+	return res.Flat, nil
 }

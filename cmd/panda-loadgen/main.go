@@ -382,7 +382,7 @@ func run(addrList string, rate float64, rateList string, duration, warmup time.D
 		tl := &tenantLoad{choice: choice, clients: make([]*panda.Client, conns)}
 		for i := range tl.clients {
 			rotated := append(append([]string(nil), addrs[i%len(addrs):]...), addrs[:i%len(addrs)]...)
-			c, err := panda.DialClusterDataset(rotated, choice.name)
+			c, err := panda.Dialer{Dataset: choice.name}.Dial(rotated...)
 			if err != nil {
 				return fmt.Errorf("tenant %q: %w", choice.name, err)
 			}

@@ -76,7 +76,7 @@ func run(addrs []string, tenant, dataset string, n int, seed uint64, check bool,
 	}
 
 	// The cluster may still be joining its mesh and building: retry until
-	// every rank accepts the handshake. DialRetry also arms each client to
+	// every rank accepts the handshake. The retry policy also arms each client to
 	// reconnect and re-send idempotent calls if its rank drops mid-workload
 	// — with server-side replication the answers after the reconnect are
 	// still bit-identical, which is exactly what -check verifies.
@@ -84,7 +84,7 @@ func run(addrs []string, tenant, dataset string, n int, seed uint64, check bool,
 	clients := make([]*panda.Client, len(addrs))
 	for i, addr := range addrs {
 		for {
-			clients[i], err = panda.DialDatasetRetry(addr, tenant, panda.DefaultRetry)
+			clients[i], err = panda.Dialer{Dataset: tenant, Retry: panda.DefaultRetry}.Dial(addr)
 			if err == nil {
 				break
 			}

@@ -28,8 +28,9 @@
 // One process can serve several datasets: repeat -snapshot with name=path
 // entries, or point -snapshot-dir at a directory of .pnds files (each file
 // becomes a tenant named after its base name). The first tenant listed is
-// the default — the one clients with an empty dataset selector bind to. Clients pick a tenant at handshake with
-// panda.DialDataset / panda-query -tenant:
+// the default — the one clients with an empty dataset selector bind to.
+// Clients pick a tenant at handshake with panda.Dialer{Dataset: name} /
+// panda-query -tenant:
 //
 //	panda-serve -snapshot cosmo=cosmo.pnds -snapshot plasma=plasma.pnds -addr :7077
 //	panda-serve -snapshot-dir ./tenants -addr :7077
@@ -42,7 +43,7 @@
 // rank serves external clients on its entry of -serve. Every rank answers
 // every query — non-owned queries are forwarded to their owner and the
 // remote-candidate exchange runs when a query's neighbor ball crosses shard
-// boundaries — so clients may panda.Dial any rank (or panda.DialCluster the
+// boundaries — so clients may panda.Dial any rank (or pass panda.Dial the
 // whole list). Each rank derives its shard deterministically from the
 // shared dataset flags: point i belongs to rank i mod ranks, and neighbor
 // ids are global point indices, so answers are identical to a single

@@ -123,7 +123,7 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := panda.DialCluster(serveAddrs[c:]) // any rank answers
+			cl, err := panda.Dial(serveAddrs[c:]...) // any rank answers
 			if err != nil {
 				log.Fatalf("client %d: %v", c, err)
 			}

@@ -135,7 +135,7 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := panda.DialRetry(serveAddrs[c], panda.DefaultRetry)
+			cl, err := panda.Dialer{Retry: panda.DefaultRetry}.Dial(serveAddrs[c])
 			if err != nil {
 				log.Fatalf("client %d: %v", c, err)
 			}

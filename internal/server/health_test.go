@@ -108,12 +108,9 @@ func TestHealthTrackerConcurrentOkFail(t *testing.T) {
 	}
 }
 
-// startWedgedPeer serves the protocol handshake and then reads and discards
-// everything without ever answering — the shape of a wedged process (socket
-// open, application dead). Completing the handshake matters: a refused or
-// hung dial would arm the peer's dial backoff and make subsequent pings
-// fail fast, hiding the cost this test needs each ping to pay.
-func startWedgedPeer(t *testing.T, dims int) string {
+// startFakePeer serves the protocol handshake for a dims-dimensional tree,
+// then hands each connection to serve.
+func startFakePeer(t *testing.T, dims int, serve func(nc net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -134,7 +131,7 @@ func startWedgedPeer(t *testing.T, dims int) string {
 				if _, err := nc.Write(proto.AppendWelcome(nil, proto.DatasetID{Name: proto.DefaultDataset, Dims: dims, Points: 1, Fingerprint: 1})); err != nil {
 					return
 				}
-				io.Copy(io.Discard, nc) // swallow pings forever
+				serve(nc)
 			}(nc)
 		}
 	}()
@@ -155,7 +152,13 @@ func TestHeartbeatDetectsDeadPeerDespiteWedgedPeer(t *testing.T) {
 		pingTimeout = 600 * time.Millisecond
 		thresh      = 2
 	)
-	wedgedAddr := startWedgedPeer(t, dims)
+	// The wedged peer serves the handshake and then reads and discards
+	// everything without ever answering — the shape of a wedged process
+	// (socket open, application dead). Completing the handshake matters: a
+	// refused or hung dial would arm the peer's dial backoff and make
+	// subsequent pings fail fast, hiding the cost this test needs each ping
+	// to pay.
+	wedgedAddr := startFakePeer(t, dims, func(nc net.Conn) { io.Copy(io.Discard, nc) })
 
 	// A dead peer: nothing listens on this port (grab one and close it).
 	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -205,5 +208,46 @@ func TestHeartbeatDetectsDeadPeerDespiteWedgedPeer(t *testing.T) {
 			t.Fatal("wedged rank never detected")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPeerMalformedResponseCountsAsFailure: a peer that answers with frames
+// that do not decode is as broken as a dead one — its calls fail with a
+// transport error, which counts in PeerFailures and against its health.
+func TestPeerMalformedResponseCountsAsFailure(t *testing.T) {
+	const dims = 3
+	garbler := startFakePeer(t, dims, func(nc net.Conn) {
+		for {
+			payload, err := proto.ReadFrame(nc, nil)
+			if err != nil {
+				return
+			}
+			out := proto.BeginFrame(nil)
+			out = append(out, 0xee) // unknown response kind
+			out = append(out, payload[1:9]...)
+			if proto.FinishFrame(out, 0) != nil {
+				return
+			}
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	})
+	tree, _ := testTree(t, 100, dims)
+	rt := &router{
+		s:           New(tree, Config{}),
+		rank:        0,
+		peers:       []*peer{nil, {rank: 1, addr: garbler, dims: dims, dialTimeout: time.Second, callTimeout: time.Second}},
+		health:      newHealthTracker(2, 0, 1),
+		hbInterval:  20 * time.Millisecond,
+		pingTimeout: time.Second,
+		hbStop:      make(chan struct{}),
+	}
+	t.Cleanup(rt.closePeers)
+	go rt.heartbeatLoop(rt.hbStop)
+
+	waitUntil(t, "a peer failure from a malformed response", func() bool { return rt.s.Stats().PeerFailures > 0 })
+	if rt.health.live(1) {
+		t.Fatal("a peer answering malformed frames is still live")
 	}
 }

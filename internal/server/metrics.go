@@ -56,11 +56,9 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // metrics aggregates the serving observability state beyond the plain Stats
-// counters: per-kind request counts, the request latency histogram, and its
-// per-stage decomposition.
+// counters: per-kind request counts and the per-stage decomposition of
+// request latency. The end-to-end histogram lives on the tenants (engine).
 type metrics struct {
-	latency histogram
-
 	// stages decomposes the end-to-end latency into the six wire stages.
 	// Every observed request observes every stage (unused stages observe
 	// zero), so each stage's count equals the end-to-end count exactly and
@@ -68,60 +66,59 @@ type metrics struct {
 	stages [proto.NumStages]histogram
 
 	// Per-kind request counters (requests, not queries: a 64-query batch
-	// counts once here and 64 times in statQueries).
+	// counts once here and 64 times in Stats.Queries).
 	knnRequests    atomic.Int64
 	radiusRequests atomic.Int64
 	otherRequests  atomic.Int64 // bounded-candidate and section kinds
 }
 
-// observe records one answered request of the given wire kind.
-func (m *metrics) observe(kind uint8, d time.Duration) {
-	m.latency.observe(d)
-	switch kind {
-	case proto.KindKNN, proto.KindShardKNN:
-		m.knnRequests.Add(1)
-	case proto.KindRadius, proto.KindShardRadius:
-		m.radiusRequests.Add(1)
-	default:
-		m.otherRequests.Add(1)
-	}
-}
-
 // observeRequest is the single observation site for one answered external
-// request: the end-to-end histogram and its per-tenant twin, the six
-// per-stage histograms, slow-query accounting, and trace capture. All at the
-// same site, so per-tenant counts sum to the global count and every stage
-// count equals the end-to-end count. end is the post-write stamp; stage
-// durations come from the caller because dispatcher and router decompose
-// differently (see pending.dispatchStages / pending.routeStages).
+// request: the per-stage histograms, the per-kind counter, slow-query
+// accounting, trace capture, and the tenant's end-to-end histogram. Every
+// stage count therefore equals the end-to-end count. end is the post-write
+// stamp; stage durations come from the caller because dispatcher and router
+// decompose differently (see pending.dispatchStages / pending.routeStages).
 func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]time.Duration, reqErr error) {
 	e2e := end.Sub(p.arrived)
 	for i := range st {
 		s.metrics.stages[i].observe(st[i])
 	}
+	switch p.req.Kind {
+	case proto.KindKNN, proto.KindShardKNN:
+		s.metrics.knnRequests.Add(1)
+	case proto.KindRadius, proto.KindShardRadius:
+		s.metrics.radiusRequests.Add(1)
+	default:
+		s.metrics.otherRequests.Add(1)
+	}
 	slow := s.cfg.SlowQuery > 0 && e2e >= s.cfg.SlowQuery
 	if slow {
-		s.statSlow.Add(1)
-		if p.eng != nil {
-			p.eng.slow.Add(1)
-		}
+		p.eng.slow.Add(1)
 	}
 	if p.trace != nil || slow {
 		s.traces.put(s.buildTrace(p, st, e2e, end, slow, reqErr))
 	}
 	// The end-to-end histogram goes last: once its count reaches n, the
-	// stage, slow and trace records of those n requests are all in place.
-	if p.eng != nil {
-		p.eng.latency.observe(e2e)
-	}
-	s.metrics.observe(p.req.Kind, e2e)
+	// stage, kind, slow and trace records of those n requests are all in
+	// place.
+	p.eng.latency.observe(e2e)
 }
 
-// WriteMetrics writes the server's counters, gauges, and latency histogram
-// in the Prometheus text exposition format. Safe for concurrent use.
+// WriteMetrics writes the server's counters, gauges, and latency histograms
+// in the Prometheus text exposition format. Safe for concurrent use. Every
+// global query, shed, slow and latency series is the sum of its per-tenant
+// series, taken here at read time.
 func (s *Server) WriteMetrics(out io.Writer) {
 	w := &metricsWriter{w: out}
 	st := s.Stats()
+	tenants := make([]*engine, len(s.reg.order))
+	latency := make([]*histogram, len(s.reg.order))
+	var slow int64
+	for i, name := range s.reg.order {
+		tenants[i] = s.reg.tenants[name]
+		latency[i] = &tenants[i].latency
+		slow += tenants[i].slow.Load()
+	}
 	w.counter("panda_queries_total", "Queries answered since start (batch requests count each contained query).", float64(st.Queries))
 	w.counter("panda_batches_total", "Coalesced dispatch rounds run by the micro-batching engine.", float64(st.Batches))
 	w.counter("panda_shed_total", "Requests refused with an overload error at the admission limit.", float64(st.Shed))
@@ -129,7 +126,7 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	w.counter("panda_failovers_total", "Shard queries answered by a replica because the primary was unreachable.", float64(st.Failovers))
 	w.counter("panda_redials_total", "Peer reconnect attempts after a broken link.", float64(st.Redials))
 	w.counter("panda_replication_bytes_total", "Snapshot bytes served to re-replicating or joining peers.", float64(st.ReplicationBytes))
-	w.counter("panda_slow_total", "Requests slower than the -slow-query threshold (0 when disabled).", float64(s.statSlow.Load()))
+	w.counter("panda_slow_total", "Requests slower than the -slow-query threshold (0 when disabled).", float64(slow))
 	w.gauge("panda_active_conns", "Currently open client connections.", float64(st.ActiveConns))
 	w.gauge("panda_inflight_queries", "Admitted queries not yet answered.", float64(s.inflight.Load()))
 	w.gauge("panda_mean_batch_size", "Achieved micro-batching factor (queries per dispatch round).", st.MeanBatchSize)
@@ -151,15 +148,7 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	w.labeled("panda_requests_total", `kind="other"`, float64(m.otherRequests.Load()))
 
 	w.head("panda_request_latency_seconds", "Request latency from wire decode to response write.", "histogram")
-	cum := int64(0)
-	for i, bound := range latencyBuckets {
-		cum += m.latency.buckets[i].Load()
-		w.labeled("panda_request_latency_seconds_bucket", `le="`+formatBound(bound)+`"`, float64(cum))
-	}
-	cum += m.latency.buckets[len(latencyBuckets)].Load()
-	w.labeled("panda_request_latency_seconds_bucket", `le="+Inf"`, float64(cum))
-	w.line("panda_request_latency_seconds_sum", float64(m.latency.sumNanos.Load())/1e9)
-	w.line("panda_request_latency_seconds_count", float64(m.latency.count.Load()))
+	w.histogram("panda_request_latency_seconds", "", latency...)
 
 	// Stage decomposition of the histogram above. Every request observes
 	// every stage (zero for stages it did not use), so each stage's _count
@@ -167,50 +156,28 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	// stages (all but "decode") reconciles with the end-to-end _sum.
 	w.head("panda_stage_latency_seconds", "Per-stage decomposition of request latency (every request observes every stage; unused stages observe zero).", "histogram")
 	for si := range m.stages {
-		h := &m.stages[si]
-		stage := `stage="` + proto.StageName(uint8(si)) + `"`
-		cum := int64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			w.labeled("panda_stage_latency_seconds_bucket", stage+`,le="`+formatBound(bound)+`"`, float64(cum))
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		w.labeled("panda_stage_latency_seconds_bucket", stage+`,le="+Inf"`, float64(cum))
-		w.labeled("panda_stage_latency_seconds_sum", stage, float64(h.sumNanos.Load())/1e9)
-		w.labeled("panda_stage_latency_seconds_count", stage, float64(h.count.Load()))
+		w.histogram("panda_stage_latency_seconds", `stage="`+proto.StageName(uint8(si))+`"`, &m.stages[si])
 	}
 
-	// Per-tenant series alongside the globals. Every tenant counter is
-	// incremented at the same site as its global twin, so for each metric
-	// the sum over dataset labels equals the unlabeled global above.
+	// Per-tenant series alongside the globals, which are their sums.
 	// Dataset names are restricted to [A-Za-z0-9._-] at registration, so
 	// they embed in label values without escaping.
 	w.gauge("panda_tenants", "Datasets registered with the serving process.", float64(len(s.reg.order)))
 	w.head("panda_tenant_queries_total", "Queries answered per dataset (sums to panda_queries_total).", "counter")
-	for _, name := range s.reg.order {
-		w.labeled("panda_tenant_queries_total", `dataset="`+name+`"`, float64(s.reg.tenants[name].queries.Load()))
+	for i, e := range tenants {
+		w.labeled("panda_tenant_queries_total", `dataset="`+s.reg.order[i]+`"`, float64(e.queries.Load()))
 	}
 	w.head("panda_tenant_shed_total", "Requests refused at the admission limit per dataset (sums to panda_shed_total).", "counter")
-	for _, name := range s.reg.order {
-		w.labeled("panda_tenant_shed_total", `dataset="`+name+`"`, float64(s.reg.tenants[name].shed.Load()))
+	for i, e := range tenants {
+		w.labeled("panda_tenant_shed_total", `dataset="`+s.reg.order[i]+`"`, float64(e.shed.Load()))
 	}
 	w.head("panda_tenant_slow_total", "Requests slower than the -slow-query threshold per dataset (sums to panda_slow_total).", "counter")
-	for _, name := range s.reg.order {
-		w.labeled("panda_tenant_slow_total", `dataset="`+name+`"`, float64(s.reg.tenants[name].slow.Load()))
+	for i, e := range tenants {
+		w.labeled("panda_tenant_slow_total", `dataset="`+s.reg.order[i]+`"`, float64(e.slow.Load()))
 	}
 	w.head("panda_tenant_request_latency_seconds", "Request latency per dataset (counts sum to the global histogram).", "histogram")
-	for _, name := range s.reg.order {
-		h := &s.reg.tenants[name].latency
-		cum := int64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			w.labeled("panda_tenant_request_latency_seconds_bucket",
-				`dataset="`+name+`",le="`+formatBound(bound)+`"`, float64(cum))
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		w.labeled("panda_tenant_request_latency_seconds_bucket", `dataset="`+name+`",le="+Inf"`, float64(cum))
-		w.labeled("panda_tenant_request_latency_seconds_sum", `dataset="`+name+`"`, float64(h.sumNanos.Load())/1e9)
-		w.labeled("panda_tenant_request_latency_seconds_count", `dataset="`+name+`"`, float64(h.count.Load()))
+	for i := range tenants {
+		w.histogram("panda_tenant_request_latency_seconds", `dataset="`+s.reg.order[i]+`"`, latency[i])
 	}
 }
 
@@ -250,20 +217,47 @@ func (mw *metricsWriter) head(name, help, typ string) {
 	mw.w.Write(mw.buf)
 }
 
-func (mw *metricsWriter) line(name string, v float64) {
-	fmt.Fprintf(mw.w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
+// histogram writes the _bucket, _sum and _count samples of the sum of hs,
+// with labels ("" for none) leading each sample's label set.
+func (mw *metricsWriter) histogram(name, labels string, hs ...*histogram) {
+	le := `le="`
+	if labels != "" {
+		le = labels + `,le="`
+	}
+	var cum, sum, count int64
+	for i := range len(latencyBuckets) + 1 {
+		for _, h := range hs {
+			cum += h.buckets[i].Load()
+		}
+		bound := "+Inf"
+		if i < len(latencyBuckets) {
+			bound = formatBound(latencyBuckets[i])
+		}
+		mw.labeled(name+"_bucket", le+bound+`"`, float64(cum))
+	}
+	for _, h := range hs {
+		sum += h.sumNanos.Load()
+		count += h.count.Load()
+	}
+	mw.labeled(name+"_sum", labels, float64(sum)/1e9)
+	mw.labeled(name+"_count", labels, float64(count))
 }
 
+// labeled writes one sample; empty labels write the bare metric name.
 func (mw *metricsWriter) labeled(name, labels string, v float64) {
+	if labels == "" {
+		fmt.Fprintf(mw.w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
+		return
+	}
 	fmt.Fprintf(mw.w, "%s{%s} %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 func (mw *metricsWriter) counter(name, help string, v float64) {
 	mw.head(name, help, "counter")
-	mw.line(name, v)
+	mw.labeled(name, "", v)
 }
 
 func (mw *metricsWriter) gauge(name, help string, v float64) {
 	mw.head(name, help, "gauge")
-	mw.line(name, v)
+	mw.labeled(name, "", v)
 }

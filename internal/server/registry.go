@@ -16,19 +16,16 @@ import (
 	"panda/internal/proto"
 )
 
-// engine is one served dataset: the tree and the per-tenant slice of every
-// counter the server also keeps globally. Per-tenant counters are
-// incremented at exactly the same sites as their global twins, so for each
-// metric the sum over tenants equals the global value.
+// engine is one served dataset: the tree and its serving counters. These
+// are the only query, shed, slow and latency counters the server keeps;
+// the global values (Stats, /metrics) are their sums over tenants.
 type engine struct {
 	tree *panda.Tree
 	id   proto.DatasetID
 
 	// queries counts answered queries (a batch of nq counts nq), shed
 	// counts admission refusals, slow counts requests over the -slow-query
-	// threshold — the tenant slices of Stats.Queries, Stats.Shed, and the
-	// slow counter. latency is the tenant slice of the global request
-	// histogram.
+	// threshold, latency is the request latency histogram.
 	queries atomic.Int64
 	shed    atomic.Int64
 	slow    atomic.Int64
@@ -104,7 +101,7 @@ type TenantStats struct {
 
 // TenantStats returns the per-dataset counters keyed by dataset name. For
 // every counter, the values sum exactly to the corresponding global Stats
-// field (both are incremented at the same sites).
+// field (which is computed as that sum).
 func (s *Server) TenantStats() map[string]TenantStats {
 	out := make(map[string]TenantStats, len(s.reg.order))
 	for _, name := range s.reg.order {

@@ -180,11 +180,10 @@ type Server struct {
 
 	pendingPool sync.Pool
 
-	// Lifetime serving counters (see Stats). statQueries counts queries
-	// answered (a batch request of nq queries counts nq); statBatches
-	// counts dispatch rounds — coalesced engine passes — so their ratio is
-	// the achieved micro-batching factor.
-	statQueries atomic.Int64
+	// statBatches counts dispatch rounds — coalesced engine passes — so
+	// Stats.Queries/statBatches is the achieved micro-batching factor. The
+	// query, shed and slow counters live on the tenants (engine) only; the
+	// globals are their sums, taken at read time.
 	statBatches atomic.Int64
 
 	// Robustness counters (zero on an un-replicated server): incremented by
@@ -195,63 +194,39 @@ type Server struct {
 	statReplBytes    atomic.Int64
 
 	// Admission control (Config.MaxInFlight): inflight is the admitted
-	// query weight not yet answered, statShed counts refused requests.
+	// query weight not yet answered.
 	inflight atomic.Int64
-	statShed atomic.Int64
 
-	// metrics holds the latency histogram, its stage decomposition, and
+	// metrics holds the stage decomposition of request latency and the
 	// per-kind request counters exported by WriteMetrics/MetricsHandler.
 	metrics metrics
 
 	// Tracing: rank labels this server's spans (-1 single-node, the cluster
 	// rank otherwise), traces retains recent sampled/slow captures for
-	// /debug/traces, statSlow counts requests over Config.SlowQuery.
-	rank     int32
-	traces   *traceRing
-	statSlow atomic.Int64
+	// /debug/traces.
+	rank   int32
+	traces *traceRing
 }
 
-// Stats is a point-in-time snapshot of the serving counters.
-type Stats struct {
-	// Queries answered since start (batch requests count their nq; routed
-	// cluster queries are counted at the rank whose dispatcher ran them).
-	Queries int64
-	// Batches is the number of coalesced dispatch rounds.
-	Batches int64
-	// MeanBatchSize is Queries/Batches — the achieved micro-batching factor.
-	MeanBatchSize float64
-	// ActiveConns is the number of currently open client connections
-	// (cluster peers included on ranks receiving forwarded traffic).
-	ActiveConns int
-	// PeerFailures counts peer calls that failed at the transport level
-	// (dial errors, broken connections, call timeouts).
-	PeerFailures int64
-	// Failovers counts shard queries answered by a replica because the
-	// shard's primary was unreachable or marked dead.
-	Failovers int64
-	// Redials counts peer reconnect attempts after a broken link.
-	Redials int64
-	// ReplicationBytes counts snapshot bytes this rank has served to
-	// re-replicating or joining peers over the section-streaming protocol.
-	ReplicationBytes int64
-	// Shed counts requests refused with an overload error because admitting
-	// them would have exceeded Config.MaxInFlight (0 with admission control
-	// disabled).
-	Shed int64
-}
+// Stats is a point-in-time snapshot of the serving counters — the same
+// struct a client reads with panda.Client.Stats.
+type Stats = panda.ServerStats
 
 // Stats returns the serving counters. Safe for concurrent use; the
 // counters are monotone but mutually unsynchronized (a concurrent dispatch
-// round may be counted in Batches and not yet in Queries).
+// round may be counted in Batches and not yet in Queries). Queries and Shed
+// are the sums of the per-tenant counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Queries:          s.statQueries.Load(),
 		Batches:          s.statBatches.Load(),
 		PeerFailures:     s.statPeerFailures.Load(),
 		Failovers:        s.statFailovers.Load(),
 		Redials:          s.statRedials.Load(),
 		ReplicationBytes: s.statReplBytes.Load(),
-		Shed:             s.statShed.Load(),
+	}
+	for _, e := range s.reg.tenants {
+		st.Queries += e.queries.Load()
+		st.Shed += e.shed.Load()
 	}
 	if st.Batches > 0 {
 		st.MeanBatchSize = float64(st.Queries) / float64(st.Batches)
@@ -813,7 +788,6 @@ func (s *Server) serveConn(c *conn) {
 			}
 			if s.inflight.Add(weight) > int64(s.cfg.MaxInFlight) {
 				s.inflight.Add(-weight)
-				s.statShed.Add(1)
 				c.eng.shed.Add(1)
 				id := p.req.ID
 				s.putPending(p)
@@ -956,12 +930,9 @@ func (d *dispatcher) process() {
 	for _, p := range d.batch {
 		p.batched = closed
 		nq += p.req.NQ
-		// The tenant slice of statQueries, incremented here so the sum over
-		// tenants always equals the global counter below.
 		p.eng.queries.Add(int64(p.req.NQ))
 	}
 	s.statBatches.Add(1)
-	s.statQueries.Add(int64(nq))
 	if cap(d.done) < n {
 		d.done = make([]bool, n)
 	}

@@ -67,7 +67,13 @@ func waitUntil(t testing.TB, what string, cond func() bool) {
 // its last answer must wait here before reading metrics or traces.
 func waitObserved(t testing.TB, srv *Server, n int64) {
 	t.Helper()
-	waitUntil(t, fmt.Sprintf("%d observed requests", n), func() bool { return srv.metrics.latency.count.Load() >= n })
+	waitUntil(t, fmt.Sprintf("%d observed requests", n), func() bool {
+		var observed int64
+		for _, e := range srv.reg.tenants {
+			observed += e.latency.count.Load()
+		}
+		return observed >= n
+	})
 }
 
 // serveLoopback serves srv on a loopback port and returns the address; a

@@ -124,7 +124,7 @@ func TestTenancyMixedWorkloadBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(tc tenantCase, w int) {
 				defer wg.Done()
-				mc, err := panda.DialDataset(multiAddr, tc.name)
+				mc, err := panda.Dialer{Dataset: tc.name}.Dial(multiAddr)
 				if err != nil {
 					errCh <- err
 					return
@@ -257,9 +257,9 @@ func TestUnknownDatasetRejected(t *testing.T) {
 	tree, _ := testTree(t, 500, 3)
 	_, addr := startServer(t, tree, Config{})
 
-	_, err := panda.DialDataset(addr, "no-such-dataset")
+	_, err := panda.Dialer{Dataset: "no-such-dataset"}.Dial(addr)
 	if err == nil {
-		t.Fatal("DialDataset bound to a dataset the server does not serve")
+		t.Fatal("Dial bound to a dataset the server does not serve")
 	}
 	if !strings.Contains(err.Error(), "no-such-dataset") {
 		t.Fatalf("error %v does not name the requested dataset", err)
@@ -355,12 +355,12 @@ func TestPerTenantMetricsSumToGlobals(t *testing.T) {
 	}
 	srv, addr := startMulti(t, reg, Config{MaxInFlight: maxInFlight})
 
-	ca, err := panda.DialDataset(addr, "alpha")
+	ca, err := panda.Dialer{Dataset: "alpha"}.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ca.Close()
-	cb, err := panda.DialDataset(addr, "beta")
+	cb, err := panda.Dialer{Dataset: "beta"}.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,16 +186,14 @@ func (r *traceRing) snapshot() []*Trace {
 // buildTrace assembles the capture record for one observed request.
 func (s *Server) buildTrace(p *pending, st [proto.NumStages]time.Duration, e2e time.Duration, end time.Time, slow bool, err error) *Trace {
 	t := &Trace{
-		Kind:  traceKindName(p.req.Kind),
-		NQ:    p.req.NQ,
-		K:     p.req.K,
-		Rank:  s.rank,
-		Slow:  slow,
-		Start: end.Add(-e2e),
-		E2ENS: int64(e2e),
-	}
-	if p.eng != nil {
-		t.Dataset = p.eng.id.Name
+		Kind:    traceKindName(p.req.Kind),
+		NQ:      p.req.NQ,
+		K:       p.req.K,
+		Rank:    s.rank,
+		Slow:    slow,
+		Start:   end.Add(-e2e),
+		E2ENS:   int64(e2e),
+		Dataset: p.eng.id.Name,
 	}
 	if err != nil {
 		t.Err = err.Error()

@@ -9,15 +9,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"panda/internal/proto"
 )
 
 // RetryPolicy controls dial retries and idempotent-call retries for clients
-// created by DialRetry/DialClusterRetry. The zero value disables retrying
-// entirely (one attempt, no reconnect).
+// created by a Dialer with this policy as its Retry. The zero value disables
+// retrying entirely (one attempt, no reconnect).
 type RetryPolicy struct {
 	// Attempts is the total number of tries per operation (the first try
 	// included). Values below 1 mean 1.
@@ -64,59 +63,10 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// DialRetry is Dial with retries: up to policy.Attempts dial attempts with
-// jittered exponential backoff, and the returned client reconnects and
-// retries idempotent calls (KNN, KNNBatch, RadiusSearch, Stats) after
-// transport failures under the same policy.
-func DialRetry(addr string, policy RetryPolicy) (*Client, error) {
-	return dialRetry([]string{addr}, "", policy)
-}
-
-// DialDatasetRetry is DialDataset with retries (see DialRetry).
-func DialDatasetRetry(addr, dataset string, policy RetryPolicy) (*Client, error) {
-	return dialRetry([]string{addr}, dataset, policy)
-}
-
-// DialClusterRetry is DialCluster with retries. Reconnects may land on any
-// listed rank, so a client survives the loss of the rank it was talking to
-// as long as one rank keeps serving — with shard replication on the server
-// side, answers stay bit-identical across the switch.
-func DialClusterRetry(addrs []string, policy RetryPolicy) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("panda: DialClusterRetry needs at least one address")
-	}
-	return dialRetry(addrs, "", policy)
-}
-
-// DialClusterDatasetRetry is DialClusterDataset with retries (see
-// DialClusterRetry).
-func DialClusterDatasetRetry(addrs []string, dataset string, policy RetryPolicy) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("panda: DialClusterDatasetRetry needs at least one address")
-	}
-	return dialRetry(addrs, dataset, policy)
-}
-
-func dialRetry(addrs []string, dataset string, policy RetryPolicy) (*Client, error) {
-	policy = policy.withDefaults()
-	var last error
-	for attempt := 0; attempt < policy.Attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(policy.backoff(attempt - 1))
-		}
-		nc, id, err := dialAny(addrs, dataset)
-		if err == nil {
-			return newClient(nc, id, dataset, addrs, policy), nil
-		}
-		last = err
-	}
-	return nil, fmt.Errorf("panda: dial failed after %d attempts: %w", policy.Attempts, last)
-}
-
 // retryable reports whether err is worth another attempt under the
 // client's policy, and whether that attempt needs a fresh connection first.
 func (c *Client) retryable(err error) (retry, redial bool) {
-	if errors.Is(err, errConnLost) {
+	if errors.Is(err, proto.ErrConnLost) {
 		return true, true
 	}
 	if c.retry.RetryOverloaded && errors.Is(err, ErrOverloaded) {
@@ -131,7 +81,7 @@ func (c *Client) retryable(err error) (retry, redial bool) {
 // policy. Semantic errors (the server answered KindError) and explicit
 // Close return immediately; exhausted retries surface the attempt count and
 // the last failure.
-func (c *Client) callRetry(encode func(b []byte, id uint64) []byte) (clientResult, error) {
+func (c *Client) callRetry(encode func(b []byte, id uint64) []byte) (proto.Result, error) {
 	res, err := c.call(encode)
 	retry, redial := c.retryable(err)
 	if err == nil || c.retry.Attempts <= 1 || !retry {
@@ -143,7 +93,7 @@ func (c *Client) callRetry(encode func(b []byte, id uint64) []byte) (clientResul
 		if redial {
 			if rerr := c.reconnect(); rerr != nil {
 				if errors.Is(rerr, ErrClientClosed) {
-					return clientResult{}, rerr
+					return proto.Result{}, rerr
 				}
 				last = rerr
 				continue // the next backoff may find a revived rank
@@ -155,70 +105,41 @@ func (c *Client) callRetry(encode func(b []byte, id uint64) []byte) (clientResul
 		}
 		last = err
 	}
-	return clientResult{}, fmt.Errorf("panda: giving up after %d attempts: %w", c.retry.Attempts, last)
-}
-
-// dialValidated tries each address individually and returns the first whose
-// welcome reports exactly the dataset id the client first bound to — name,
-// dims, point count, and content fingerprint — so a reconnect can never
-// silently switch a client onto a different dataset. The fingerprint is
-// what closes the old (dims, points) validation hole: two distinct datasets
-// of identical shape — an address list where one rank was restarted serving
-// another snapshot, or a stale DNS entry now pointing at an unrelated panda
-// server — hash differently and are refused. Addresses that answer with a
-// mismatched id are closed and skipped, keeping later correct addresses
-// reachable. All failures wrap errConnLost so the retry loop keeps looking
-// for a revived correct rank until attempts exhaust.
-func dialValidated(addrs []string, dataset string, want proto.DatasetID) (net.Conn, error) {
-	var errs []error
-	for _, addr := range addrs {
-		nc, got, err := dialConn(addr, dataset)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
-			continue
-		}
-		if got != want {
-			nc.Close()
-			errs = append(errs, fmt.Errorf("%s: serves a different dataset (%v, want %v)", addr, got, want))
-			continue
-		}
-		return nc, nil
-	}
-	return nil, fmt.Errorf("%w: redial: %w", errConnLost, errors.Join(errs...))
+	return proto.Result{}, fmt.Errorf("panda: giving up after %d attempts: %w", c.retry.Attempts, last)
 }
 
 // reconnect replaces a failed connection, trying every known address and
-// accepting only one that serves the exact dataset the client first
-// connected to (matching dataset id, content fingerprint included —
-// anything else would silently change query answers mid-session). It is a
-// no-op when another goroutine already reconnected (many callers hit the
-// same dead connection at once; only one redial should happen).
+// accepting only one whose welcome reports exactly the dataset id the
+// client first bound to — name, dims, point count, and content fingerprint.
+// Anything else would silently change query answers mid-session: two
+// datasets of identical shape (a rank restarted on another snapshot, a
+// stale DNS entry now pointing at an unrelated panda server) hash
+// differently and are refused. Failures wrap proto.ErrConnLost so the retry
+// loop keeps looking for a revived correct rank until attempts exhaust. It
+// is a no-op when another goroutine already reconnected (many callers hit
+// the same dead connection at once; only one redial should happen).
 func (c *Client) reconnect() error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return ErrClientClosed
 	}
-	if c.err == nil {
-		c.mu.Unlock()
+	if c.conn.Load().Err() == nil {
 		return nil // already healthy again
 	}
-	c.mu.Unlock()
-	nc, err := dialValidated(c.addrs, c.dataset, c.id)
+	conn, err := dialAny(c.addrs, c.dataset, c.id)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: redial: %w", proto.ErrConnLost, err)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		nc.Close()
+		conn.Fail(ErrClientClosed)
 		return ErrClientClosed
 	}
-	c.nc = nc
-	c.err = nil
-	c.mu.Unlock()
-	go c.readLoop(nc)
+	c.conn.Store(conn)
 	return nil
 }

@@ -161,10 +161,8 @@ func TestReconnectRefusesDifferentDataset(t *testing.T) {
 	wrong := startFakeServer(t, dims, 999, 2) // same dims, different dataset
 	backup := startFakeServer(t, dims, 100, 3)
 
-	c, err := DialClusterRetry(
-		[]string{right.addr(), wrong.addr(), backup.addr()},
-		RetryPolicy{Attempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
-	)
+	c, err := Dialer{Retry: RetryPolicy{Attempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}}.
+		Dial(right.addr(), wrong.addr(), backup.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +202,8 @@ func TestReconnectRefusesSameShapeImpostor(t *testing.T) {
 		Fingerprint: right.id.Fingerprint ^ 0xdeadbeef, // ...different content
 	}, 2)
 
-	c, err := DialClusterRetry(
-		[]string{right.addr(), impostor.addr(), backup.addr()},
-		RetryPolicy{Attempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
-	)
+	c, err := Dialer{Retry: RetryPolicy{Attempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}}.
+		Dial(right.addr(), impostor.addr(), backup.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +224,8 @@ func TestReconnectRefusesSameShapeImpostor(t *testing.T) {
 
 	// And when only the impostor remains, fail closed naming the mismatch.
 	backup.stop()
-	c2, err := DialClusterRetry(
-		[]string{right.addr(), impostor.addr()},
-		RetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	)
+	c2, err := Dialer{Retry: RetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond}}.
+		Dial(right.addr(), impostor.addr())
 	if err == nil {
 		// Initial dial binds wherever it can; the impostor is a fine first
 		// target. A session bound there must stay there consistently.
@@ -257,10 +251,8 @@ func TestReconnectFailsClosedWhenOnlyWrongDatasetRemains(t *testing.T) {
 	right := startFakeServer(t, dims, 100, 1)
 	wrong := startFakeServer(t, dims, 999, 2)
 
-	c, err := DialClusterRetry(
-		[]string{right.addr(), wrong.addr()},
-		RetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	)
+	c, err := Dialer{Retry: RetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond}}.
+		Dial(right.addr(), wrong.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +284,10 @@ func TestRetryOverloadedBacksOffWithoutReconnect(t *testing.T) {
 		func(b []byte, id uint64) []byte { return proto.AppendOverloadedResponse(b, id) },
 	)
 
-	c, err := DialRetry(fs.addr(), RetryPolicy{
+	c, err := Dialer{Retry: RetryPolicy{
 		Attempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
 		RetryOverloaded: true,
-	})
+	}}.Dial(fs.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +314,7 @@ func TestOverloadSurfacesWithoutOptIn(t *testing.T) {
 			return proto.AppendErrorResponse(b, id, "forward shard 2 to rank 1: server: peer: "+proto.OverloadedMsg)
 		},
 	)
-	c, err := DialRetry(fs.addr(), RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond})
+	c, err := Dialer{Retry: RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond}}.Dial(fs.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
