@@ -107,55 +107,95 @@ import (
 	"panda/internal/server"
 )
 
-func main() {
-	var (
-		in      = flag.String("in", "", "dataset file (.pnda, from `panda gen`)")
-		dataset = flag.String("dataset", "", "synthetic dataset family (uniform|gaussian|cosmo|plasma|dayabay|sdss10|sdss15); alternative to -in")
-		n       = flag.Int("n", 100000, "synthetic point count (with -dataset)")
-		dims    = flag.Int("dims", 3, "synthetic dimensionality (uniform/gaussian only)")
-		seed    = flag.Uint64("seed", 1, "synthetic generator seed (with -dataset)")
-		bucket  = flag.Int("bucket", 32, "kd-tree bucket size")
-		threads = flag.Int("threads", 0, "engine threads for tree construction and batched queries (0 = all cores)")
-		addr    = flag.String("addr", ":7077", "listen address (single-node mode)")
-		batch   = flag.Int("batch", 64, "max queries coalesced into one engine call")
-		grace   = flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
+// config is panda-serve's command line, one field per flag.
+type config struct {
+	in, dataset string
+	n, dims     int
+	seed        uint64
+	bucket      int
+	threads     int
+	addr        string
+	batch       int
+	grace       time.Duration
 
-		maxInflight = flag.Int("max-inflight", 0, "admission limit: max queries admitted but unanswered before new requests are shed with an overload error (0 = unbounded)")
-		metricsAddr = flag.String("metrics", "", "HTTP listen address for the Prometheus /metrics endpoint (empty = disabled)")
-		traceSample = flag.Float64("trace-sample", 0, "fraction of queries to trace server-side into the /debug/traces ring (0 = only client-requested and slow queries)")
-		slowQuery   = flag.Duration("slow-query", 0, "capture every query at or over this end-to-end latency into /debug/traces, regardless of sampling (0 = disabled)")
-		debugPprof  = flag.Bool("debug", false, "also serve net/http/pprof profiles under /debug/pprof/ on the -metrics listener")
+	maxInflight int
+	metricsAddr string
+	traceSample float64
+	slowQuery   time.Duration
+	debugPprof  bool
 
-		snapDir = flag.String("snapshot-dir", "", "serve every .pnds file in this directory as a tenant named after its base name (single-node mode)")
-		snapOut = flag.String("save-snapshot", "", "write a PNDS snapshot file after building (cluster mode: snapshot directory)")
+	snaps   snapshotFlag
+	snapDir string
+	snapOut string
 
-		clusterMode = flag.Bool("cluster", false, "run as one rank of a sharded cluster")
-		rank        = flag.Int("rank", 0, "this process's rank (with -cluster)")
-		mesh        = flag.String("mesh", "", "comma-separated rank mesh addresses, rank order (with -cluster; unused with -snapshot)")
-		serveAddrs  = flag.String("serve", "", "comma-separated rank serving addresses, rank order (with -cluster)")
-		replication = flag.Int("replication", panda.DefaultReplication, "shard copies recorded in the snapshot manifest (with -cluster -save-snapshot)")
-		join        = flag.Bool("join", false, "stream the snapshot from live ranks into -snapshot's directory before warm-starting (with -cluster)")
-		joinWait    = flag.Duration("join-timeout", 60*time.Second, "per-call timeout while streaming the join snapshot")
-		drain       = flag.Bool("drain", false, "on SIGTERM, wait until every held shard has another live holder before leaving (with -cluster)")
-	)
-	var snaps snapshotFlag
-	flag.Var(&snaps, "snapshot", "warm-start from a PNDS snapshot instead of building: a path (single tenant; cluster mode: snapshot directory), or name=path, repeatable, to serve several datasets from one process (first listed is the default tenant)")
+	cluster     bool
+	rank        int
+	mesh        []string
+	serve       []string
+	replication int
+	join        bool
+	joinWait    time.Duration
+	drain       bool
+}
+
+// parseFlags fills a config from the command line.
+func parseFlags() *config {
+	c := &config{}
+	flag.StringVar(&c.in, "in", "", "dataset file (.pnda, from `panda gen`)")
+	flag.StringVar(&c.dataset, "dataset", "", "synthetic dataset family (uniform|gaussian|cosmo|plasma|dayabay|sdss10|sdss15); alternative to -in")
+	flag.IntVar(&c.n, "n", 100000, "synthetic point count (with -dataset)")
+	flag.IntVar(&c.dims, "dims", 3, "synthetic dimensionality (uniform/gaussian only)")
+	flag.Uint64Var(&c.seed, "seed", 1, "synthetic generator seed (with -dataset)")
+	flag.IntVar(&c.bucket, "bucket", 32, "kd-tree bucket size")
+	flag.IntVar(&c.threads, "threads", 0, "engine threads for tree construction and batched queries (0 = all cores)")
+	flag.StringVar(&c.addr, "addr", ":7077", "listen address (single-node mode)")
+	flag.IntVar(&c.batch, "batch", 64, "max queries coalesced into one engine call")
+	flag.DurationVar(&c.grace, "grace", 10*time.Second, "graceful shutdown drain budget")
+
+	flag.IntVar(&c.maxInflight, "max-inflight", 0, "admission limit: max queries admitted but unanswered before new requests are shed with an overload error (0 = unbounded)")
+	flag.StringVar(&c.metricsAddr, "metrics", "", "HTTP listen address for the Prometheus /metrics endpoint (empty = disabled)")
+	flag.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of queries to trace server-side into the /debug/traces ring (0 = only client-requested and slow queries)")
+	flag.DurationVar(&c.slowQuery, "slow-query", 0, "capture every query at or over this end-to-end latency into /debug/traces, regardless of sampling (0 = disabled)")
+	flag.BoolVar(&c.debugPprof, "debug", false, "also serve net/http/pprof profiles under /debug/pprof/ on the -metrics listener")
+
+	flag.StringVar(&c.snapDir, "snapshot-dir", "", "serve every .pnds file in this directory as a tenant named after its base name (single-node mode)")
+	flag.StringVar(&c.snapOut, "save-snapshot", "", "write a PNDS snapshot file after building (cluster mode: snapshot directory)")
+
+	flag.BoolVar(&c.cluster, "cluster", false, "run as one rank of a sharded cluster")
+	flag.IntVar(&c.rank, "rank", 0, "this process's rank (with -cluster)")
+	mesh := flag.String("mesh", "", "comma-separated rank mesh addresses, rank order (with -cluster; unused with -snapshot)")
+	serve := flag.String("serve", "", "comma-separated rank serving addresses, rank order (with -cluster)")
+	flag.IntVar(&c.replication, "replication", panda.DefaultReplication, "shard copies recorded in the snapshot manifest (with -cluster -save-snapshot)")
+	flag.BoolVar(&c.join, "join", false, "stream the snapshot from live ranks into -snapshot's directory before warm-starting (with -cluster)")
+	flag.DurationVar(&c.joinWait, "join-timeout", 60*time.Second, "per-call timeout while streaming the join snapshot")
+	flag.BoolVar(&c.drain, "drain", false, "on SIGTERM, wait until every held shard has another live holder before leaving (with -cluster)")
+	flag.Var(&c.snaps, "snapshot", "warm-start from a PNDS snapshot instead of building: a path (single tenant; cluster mode: snapshot directory), or name=path, repeatable, to serve several datasets from one process (first listed is the default tenant)")
 	flag.Parse()
+	c.mesh = splitAddrs(*mesh)
+	c.serve = splitAddrs(*serve)
+	return c
+}
+
+// serverConfig is the serving-layer part of the command line.
+func (c *config) serverConfig() server.Config {
+	return server.Config{MaxBatch: c.batch, MaxInFlight: c.maxInflight,
+		TraceSample: c.traceSample, SlowQuery: c.slowQuery}
+}
+
+func main() {
+	c := parseFlags()
 	var err error
-	if *clusterMode {
-		snapIn, serr := snaps.single()
+	if c.cluster {
+		snapIn, serr := c.snaps.single()
 		if serr != nil {
 			err = fmt.Errorf("cluster mode: %w", serr)
-		} else if *snapDir != "" {
+		} else if c.snapDir != "" {
 			err = fmt.Errorf("cluster mode serves one dataset per rank; -snapshot-dir is single-node only")
 		} else {
-			err = runCluster(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *batch, *grace,
-				snapIn, *snapOut, *rank, splitAddrs(*mesh), splitAddrs(*serveAddrs), *replication, *join, *joinWait, *drain,
-				*maxInflight, *metricsAddr, *traceSample, *slowQuery, *debugPprof)
+			err = runCluster(c, snapIn)
 		}
 	} else {
-		err = run(*in, *dataset, *n, *dims, *seed, *bucket, *threads, *addr, *batch, *grace, snaps, *snapDir, *snapOut,
-			*maxInflight, *metricsAddr, *traceSample, *slowQuery, *debugPprof)
+		err = run(c)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "panda-serve:", err)
@@ -230,25 +270,25 @@ func splitAddrs(s string) []string {
 }
 
 // loadPoints resolves the dataset flags to row-major coordinates.
-func loadPoints(in, dataset string, n, dims int, seed uint64) ([]float32, int, error) {
+func loadPoints(c *config) ([]float32, int, error) {
 	switch {
-	case in != "":
-		pts, _, err := ptsio.Load(in)
+	case c.in != "":
+		pts, _, err := ptsio.Load(c.in)
 		if err != nil {
 			return nil, 0, err
 		}
-		log.Printf("loaded %s: %d points, %d dims", in, pts.Len(), pts.Dims)
+		log.Printf("loaded %s: %d points, %d dims", c.in, pts.Len(), pts.Dims)
 		return pts.Coords, pts.Dims, nil
-	case dataset != "":
+	case c.dataset != "":
 		var d data.Dataset
 		var err error
-		switch dataset {
+		switch c.dataset {
 		case "uniform":
-			d = data.Uniform(n, dims, seed)
+			d = data.Uniform(c.n, c.dims, c.seed)
 		case "gaussian":
-			d = data.Gaussian(n, dims, seed)
+			d = data.Gaussian(c.n, c.dims, c.seed)
 		default:
-			d, err = data.ByName(dataset, n, seed)
+			d, err = data.ByName(c.dataset, c.n, c.seed)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -262,7 +302,8 @@ func loadPoints(in, dataset string, n, dims int, seed uint64) ([]float32, int, e
 
 // obtainTree builds the tree from the dataset flags or warm-starts it from
 // a snapshot, honoring -save-snapshot either way.
-func obtainTree(in, dataset string, n, dims int, seed uint64, bucket, threads int, snapIn, snapOut string) (*panda.Tree, error) {
+func obtainTree(c *config, snapIn string) (*panda.Tree, error) {
+	threads := c.threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -278,13 +319,13 @@ func obtainTree(in, dataset string, n, dims int, seed uint64, bucket, threads in
 		log.Printf("warm start: opened %s (%d points, %d dims) in %v",
 			snapIn, tree.Len(), tree.Dims(), time.Since(start).Round(time.Microsecond))
 	} else {
-		coords, pdims, err := loadPoints(in, dataset, n, dims, seed)
+		coords, pdims, err := loadPoints(c)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
 		tree, err = panda.Build(coords, pdims, nil, &panda.BuildOptions{
-			BucketSize: bucket,
+			BucketSize: c.bucket,
 			Threads:    threads,
 		})
 		if err != nil {
@@ -292,12 +333,12 @@ func obtainTree(in, dataset string, n, dims int, seed uint64, bucket, threads in
 		}
 		log.Printf("built tree over %d points in %v", tree.Len(), time.Since(start).Round(time.Millisecond))
 	}
-	if snapOut != "" {
+	if c.snapOut != "" {
 		start := time.Now()
-		if err := tree.WriteSnapshot(snapOut); err != nil {
+		if err := tree.WriteSnapshot(c.snapOut); err != nil {
 			return nil, fmt.Errorf("saving snapshot: %w", err)
 		}
-		log.Printf("saved snapshot %s in %v", snapOut, time.Since(start).Round(time.Millisecond))
+		log.Printf("saved snapshot %s in %v", c.snapOut, time.Since(start).Round(time.Millisecond))
 	}
 	return tree, nil
 }
@@ -337,18 +378,18 @@ func tenantList(snaps snapshotFlag, snapDir string) ([]tenantSnap, error) {
 	return tenants, nil
 }
 
-func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr string, batch int, grace time.Duration, snaps snapshotFlag, snapDir, snapOut string, maxInflight int, metricsAddr string, traceSample float64, slowQuery time.Duration, debugPprof bool) error {
-	tenants, err := tenantList(snaps, snapDir)
+func run(c *config) error {
+	tenants, err := tenantList(c.snaps, c.snapDir)
 	if err != nil {
 		return err
 	}
-	cfg := server.Config{MaxBatch: batch, MaxInFlight: maxInflight,
-		TraceSample: traceSample, SlowQuery: slowQuery}
+	cfg := c.serverConfig()
 
 	var srv *server.Server
 	if len(tenants) > 0 && (len(tenants) > 1 || tenants[0].name != proto.DefaultDataset) {
 		// Registry mode: every tenant warm-starts from its snapshot; the
 		// first listed is the default for unselective clients.
+		threads := c.threads
 		if threads <= 0 {
 			threads = runtime.GOMAXPROCS(0)
 		}
@@ -378,7 +419,7 @@ func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr
 		if len(tenants) == 1 {
 			snapIn = tenants[0].path
 		}
-		tree, err := obtainTree(in, dataset, n, dims, seed, bucket, threads, snapIn, snapOut)
+		tree, err := obtainTree(c, snapIn)
 		if err != nil {
 			return err
 		}
@@ -386,16 +427,16 @@ func run(in, dataset string, n, dims int, seed uint64, bucket, threads int, addr
 		srv = server.New(tree, cfg)
 	}
 
-	stopMetrics, err := startMetrics(srv, metricsAddr, debugPprof)
+	stopMetrics, err := startMetrics(srv, c.metricsAddr, c.debugPprof)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("serving on %s (batch=%d max-inflight=%d)", ln.Addr(), batch, maxInflight)
-	return serveUntilSignal(srv, ln, grace, false, stopMetrics)
+	log.Printf("serving on %s (batch=%d max-inflight=%d)", ln.Addr(), c.batch, c.maxInflight)
+	return serveUntilSignal(srv, ln, c.grace, false, stopMetrics)
 }
 
 // startMetrics exposes srv's HTTP introspection surface on its own listener
@@ -443,20 +484,20 @@ func startMetrics(srv *server.Server, addr string, debugPprof bool) (func(contex
 // runCluster serves one rank of the sharded cluster: either the cold path
 // (join the rank mesh, build this rank's DistTree shard) or the warm path
 // (-snapshot: restore the shard and global tree from the rank's snapshot
-// file, no mesh at all), then serve external clients on serveAddrs[rank].
-func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, batch int, grace time.Duration,
-	snapIn, snapOut string, rank int, mesh, serveAddrs []string, replication int, join bool, joinWait time.Duration, drain bool,
-	maxInflight int, metricsAddr string, traceSample float64, slowQuery time.Duration, debugPprof bool) error {
+// file, no mesh at all), then serve external clients on its -serve
+// address. snapIn is the lone -snapshot directory ("" to build).
+func runCluster(c *config, snapIn string) error {
+	rank, mesh, serveAddrs := c.rank, c.mesh, c.serve
 	if rank < 0 || rank >= len(serveAddrs) {
 		return fmt.Errorf("-rank %d out of range for %d serve addresses", rank, len(serveAddrs))
 	}
-	if join {
+	if c.join {
 		if snapIn == "" {
 			return fmt.Errorf("-join needs -snapshot naming the directory to stream into")
 		}
 		start := time.Now()
 		log.Printf("rank %d: joining — streaming snapshot from live ranks into %s", rank, snapIn)
-		if err := server.FetchClusterSnapshot(snapIn, rank, serveAddrs, joinWait); err != nil {
+		if err := server.FetchClusterSnapshot(snapIn, rank, serveAddrs, c.joinWait); err != nil {
 			return fmt.Errorf("join: %w", err)
 		}
 		log.Printf("rank %d: join snapshot streamed in %v", rank, time.Since(start).Round(time.Millisecond))
@@ -465,8 +506,7 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 	var dt *panda.DistTree
 	var total int64
 	ccfg := server.ClusterConfig{
-		Config: server.Config{MaxBatch: batch, MaxInFlight: maxInflight,
-			TraceSample: traceSample, SlowQuery: slowQuery},
+		Config:     c.serverConfig(),
 		ServeAddrs: serveAddrs,
 	}
 	if snapIn != "" {
@@ -481,8 +521,8 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 		ccfg.ReplicaSets = cs.ReplicaSets
 		ccfg.Replicas = cs.Replicas
 		ccfg.SnapshotDir = snapIn
-		if threads > 0 {
-			dt.SetServingThreads(threads)
+		if c.threads > 0 {
+			dt.SetServingThreads(c.threads)
 		}
 		log.Printf("rank %d/%d: warm start from %s (%d local of %d total points, %d replica shard(s), R=%d) in %v",
 			rank, dt.Ranks(), snapIn, dt.LocalLen(), total, len(cs.Replicas), cs.Replication,
@@ -490,20 +530,20 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 		if len(cs.Missing) > 0 {
 			log.Printf("rank %d: held shard(s) %v not on disk yet; will stream them from live holders", rank, cs.Missing)
 		}
-		if snapOut != "" && snapOut != snapIn {
+		if c.snapOut != "" && c.snapOut != snapIn {
 			// Re-persisting a restored tree is purely local (the stored
 			// cluster total is reused; no mesh, no collective).
 			start := time.Now()
-			if err := dt.WriteSnapshotReplicated(snapOut, replication); err != nil {
+			if err := dt.WriteSnapshotReplicated(c.snapOut, c.replication); err != nil {
 				return fmt.Errorf("saving cluster snapshot: %w", err)
 			}
-			log.Printf("rank %d: saved snapshot into %s in %v", rank, snapOut, time.Since(start).Round(time.Millisecond))
+			log.Printf("rank %d: saved snapshot into %s in %v", rank, c.snapOut, time.Since(start).Round(time.Millisecond))
 		}
 	} else {
 		if len(mesh) == 0 || len(mesh) != len(serveAddrs) {
 			return fmt.Errorf("-cluster needs -mesh and -serve with one address per rank (got %d mesh, %d serve)", len(mesh), len(serveAddrs))
 		}
-		coords, pdims, err := loadPoints(in, dataset, n, dims, seed)
+		coords, pdims, err := loadPoints(c)
 		if err != nil {
 			return err
 		}
@@ -524,7 +564,7 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 		// The comm's per-rank thread count drives both simulated-time
 		// charging and the real worker pool of the distributed build
 		// (BuildDistributed takes it from the comm, not BuildOptions).
-		buildThreads := threads
+		buildThreads := c.threads
 		if buildThreads <= 0 {
 			buildThreads = runtime.GOMAXPROCS(0)
 		}
@@ -536,29 +576,29 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 		defer closeMesh()
 
 		start := time.Now()
-		dt, err = node.Build(shard, pdims, ids, &panda.BuildOptions{BucketSize: bucket, Threads: buildThreads})
+		dt, err = node.Build(shard, pdims, ids, &panda.BuildOptions{BucketSize: c.bucket, Threads: buildThreads})
 		if err != nil {
 			return fmt.Errorf("distributed build: %w", err)
 		}
 		log.Printf("rank %d: built shard (%d local of %d total points) in %v",
 			rank, dt.LocalLen(), nTotal, time.Since(start).Round(time.Millisecond))
-		if threads > 0 {
-			dt.SetServingThreads(threads)
+		if c.threads > 0 {
+			dt.SetServingThreads(c.threads)
 		}
-		if snapOut != "" {
+		if c.snapOut != "" {
 			// Collective: every rank writes its shard, rank 0 the manifest.
 			start := time.Now()
-			if err := dt.WriteSnapshotReplicated(snapOut, replication); err != nil {
+			if err := dt.WriteSnapshotReplicated(c.snapOut, c.replication); err != nil {
 				return fmt.Errorf("saving cluster snapshot: %w", err)
 			}
-			log.Printf("rank %d: saved snapshot into %s in %v", rank, snapOut, time.Since(start).Round(time.Millisecond))
+			log.Printf("rank %d: saved snapshot into %s in %v", rank, c.snapOut, time.Since(start).Round(time.Millisecond))
 			// A cold-built rank has only its own shard in memory, but the
 			// manifest now assigns it replica shards too: hand the placement
 			// and the directory to the serving layer, whose repair loop
 			// streams the missing copies from their owner ranks in the
 			// background. Replicated serving converges without a restart.
-			ccfg.SnapshotDir = snapOut
-			ccfg.ReplicaSets = core.BuildReplicaSets(len(serveAddrs), replication)
+			ccfg.SnapshotDir = c.snapOut
+			ccfg.ReplicaSets = core.BuildReplicaSets(len(serveAddrs), c.replication)
 		}
 	}
 
@@ -567,7 +607,7 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 	if err != nil {
 		return err
 	}
-	stopMetrics, err := startMetrics(srv, metricsAddr, debugPprof)
+	stopMetrics, err := startMetrics(srv, c.metricsAddr, c.debugPprof)
 	if err != nil {
 		return err
 	}
@@ -575,8 +615,8 @@ func runCluster(in, dataset string, n, dims int, seed uint64, bucket, threads, b
 	if err != nil {
 		return err
 	}
-	log.Printf("rank %d: serving on %s (batch=%d max-inflight=%d)", rank, ln.Addr(), batch, maxInflight)
-	return serveUntilSignal(srv, ln, grace, drain, stopMetrics)
+	log.Printf("rank %d: serving on %s (batch=%d max-inflight=%d)", rank, ln.Addr(), c.batch, c.maxInflight)
+	return serveUntilSignal(srv, ln, c.grace, c.drain, stopMetrics)
 }
 
 // serveUntilSignal serves until SIGINT/SIGTERM, then drains gracefully and

@@ -151,7 +151,7 @@ func RunLocalTreesKNN(c *cluster.Comm, pts geom.Points, ids []int64, queries geo
 		dims = pts.Dims
 	}
 	for src, part := range all {
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			qid := r.Int64()
@@ -165,6 +165,9 @@ func RunLocalTreesKNN(c *cluster.Comm, pts geom.Points, ids []int64, queries geo
 				items[x] = knnheap.Item{Dist2: nb.Dist2, ID: nb.ID}
 			}
 			answers[src] = append(answers[src], answer{qid: qid, items: items})
+		}
+		if err := r.Err(); err != nil {
+			panic(fmt.Sprintf("baselines: decoding queries: %v", err))
 		}
 	}
 
@@ -192,7 +195,7 @@ func RunLocalTreesKNN(c *cluster.Comm, pts geom.Points, ids []int64, queries geo
 	// Merge the P candidate lists per query.
 	merged := make(map[int64][][]knnheap.Item, queries.Len())
 	for _, part := range returned {
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			qid := r.Int64()
@@ -202,6 +205,9 @@ func RunLocalTreesKNN(c *cluster.Comm, pts geom.Points, ids []int64, queries geo
 				items[x] = knnheap.Item{ID: r.Int64(), Dist2: r.Float32()}
 			}
 			merged[qid] = append(merged[qid], items)
+		}
+		if err := r.Err(); err != nil {
+			panic(fmt.Sprintf("baselines: decoding candidates: %v", err))
 		}
 	}
 	out := make([]LocalTreesResult, 0, queries.Len())

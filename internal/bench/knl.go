@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"panda/internal/cluster"
@@ -190,7 +191,11 @@ func sharedTreeTime(cfg Config, tree *kdtree.Tree, queries geom.Points, k, ranks
 			mine = queries.Slice(0, end)
 		} else {
 			_, buf := c.Recv(0, 1)
-			mine = geom.FromCoords(wire.NewReader(buf).Float32s(), queries.Dims)
+			r := wire.NewDecoder(buf)
+			mine = geom.FromCoords(r.Float32sInto(nil, 0), queries.Dims)
+			if err := r.Err(); err != nil {
+				panic(fmt.Sprintf("bench: decoding query shard: %v", err))
+			}
 		}
 
 		c.Phase("query").Overlapped = true

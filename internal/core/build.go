@@ -150,7 +150,7 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 		type groupKey = [2]int
 		groupMoments := make(map[groupKey]*groupStat)
 		for _, part := range momentParts {
-			r := wire.NewReader(part)
+			r := wire.NewDecoder(part)
 			key := groupKey{int(r.Int32()), int(r.Int32())}
 			gs := groupMoments[key]
 			if gs == nil {
@@ -162,6 +162,7 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 				gs.sum[d] += r.Float64()
 				gs.sum2[d] += r.Float64()
 			}
+			mustDecode(&r, "moments")
 		}
 		groupDim := make(map[groupKey]int)
 		for key, gs := range groupMoments {
@@ -186,9 +187,10 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 		sampleParts := c.AllGather(buf)
 		var myGroupSamples []float32
 		for _, part := range sampleParts {
-			r := wire.NewReader(part)
+			r := wire.NewDecoder(part)
 			key := groupKey{int(r.Int32()), int(r.Int32())}
-			s := r.Float32s()
+			s := r.Float32sInto(nil, 0)
+			mustDecode(&r, "samples")
 			if key == myKey {
 				myGroupSamples = append(myGroupSamples, s...)
 			}
@@ -229,12 +231,12 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 		}
 		splitParts := c.AllGather(buf)
 		for _, part := range splitParts {
-			r := wire.NewReader(part)
+			r := wire.NewDecoder(part)
 			key := groupKey{int(r.Int32()), int(r.Int32())}
-			if r.Remaining() == 0 {
-				continue
+			if r.Remaining() > 0 {
+				splits[key] = split{dim: r.Int32(), median: r.Float32()}
 			}
-			splits[key] = split{dim: r.Int32(), median: r.Float32()}
+			mustDecode(&r, "splits")
 		}
 
 		// Redistribution: strict partition (coords < v left, ≥ v right —
@@ -267,9 +269,10 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 			myIDs = keepIDs
 			for _, src := range redistributionSources(rank, lo, mid, hi) {
 				_, part := c.Recv(src, tagRedistribute+level)
-				r := wire.NewReader(part)
-				coords = append(coords, r.Float32s()...)
-				myIDs = append(myIDs, r.Int64s()...)
+				r := wire.NewDecoder(part)
+				coords = r.Float32sInto(coords, 0)
+				myIDs = r.Int64sInto(myIDs, 0)
+				mustDecode(&r, "redistribution")
 			}
 			wait()
 			chargeAll(c, simtime.KPointMove, int64(len(coords))*4+int64(len(myIDs))*8)
@@ -502,6 +505,15 @@ func partitionStrict(coords []float32, ids []int64, dims, dim int, v float32, po
 		}
 	})
 	return lc, lids, rc, rids
+}
+
+// mustDecode aborts on a short or malformed rank-to-rank message. Its
+// sender is this same program, so a bad buffer is a bug: it must stop the
+// run loudly, never decode as zeros.
+func mustDecode(d *wire.Decoder, what string) {
+	if err := d.Err(); err != nil {
+		panic(fmt.Sprintf("core: decoding %s: %v", what, err))
+	}
 }
 
 // chargeAll spreads cooperative work units across all simulated threads of

@@ -271,7 +271,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 		if len(part) == 0 {
 			continue
 		}
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			q := &ownedQuery{qid: r.Int64(), origin: int32(src), coords: make([]float32, dims)}
@@ -280,6 +280,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 			}
 			owned = append(owned, q)
 		}
+		mustDecode(&r, "routed queries")
 	}
 	trace.Owned += int64(len(owned))
 
@@ -349,7 +350,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 		if len(part) == 0 {
 			continue
 		}
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			rq := remoteReq{qid: r.Int64(), origin: int32(src)}
@@ -360,6 +361,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 			}
 			incoming = append(incoming, rq)
 		}
+		mustDecode(&r, "remote requests")
 	}
 	remoteAnswers := make([][]kdtree.Neighbor, len(incoming))
 	e.searchParallel(len(incoming), rpm, func(i, w int) kdtree.QueryStats {
@@ -407,7 +409,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 		if len(part) == 0 {
 			continue
 		}
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			qid := r.Int64()
@@ -421,6 +423,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 				}
 			}
 		}
+		mustDecode(&r, "remote candidates")
 	}
 
 	// Return finished results to their origin ranks (accounted to the
@@ -459,7 +462,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 		if len(part) == 0 {
 			continue
 		}
-		r := wire.NewReader(part)
+		r := wire.NewDecoder(part)
 		cnt := int(r.Uint32())
 		for j := 0; j < cnt; j++ {
 			res := Result{QID: r.Int64()}
@@ -470,6 +473,7 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 			}
 			finished = append(finished, res)
 		}
+		mustDecode(&r, "returned results")
 	}
 	sort.Slice(finished, func(a, b int) bool { return finished[a].QID < finished[b].QID })
 	return finished

@@ -46,6 +46,7 @@ func TestDispatchLoopAllocs(t *testing.T) {
 			p := s.getPending()
 			p.c = fake
 			p.eng = s.def
+			p.tree = s.def.shards[0].Load()
 			p.req.Kind = proto.KindKNN
 			p.req.ID = uint64(i)
 			p.req.K = k

@@ -41,13 +41,17 @@
 //
 // With an R-way replica placement (ClusterConfig.ReplicaSets, from the
 // snapshot manifest) every shard step above gains a fallback chain: a
-// shard's work runs at the shard's first LIVE holder, primary first. A
-// replica holder answers from its copy of the shard's snapshot bytes — the
-// same bytes the primary serves — so failover answers stay bit-identical
-// while any one copy of each shard survives — the same shard-addressed
-// kinds reach a replica holder as reach the primary. Liveness comes from
-// transport failures and a background heartbeat (health.go); a dead rank's
-// shards are re-pulled by the next ranks in the chain over the
+// shard's work runs at the shard's first LIVE holder, primary first, and
+// one walk (walkHolders) does this for every step. A replica holder answers
+// from its copy of the shard's snapshot bytes — the same bytes the primary
+// serves — so failover answers stay bit-identical while any one copy of
+// each shard survives — the same shard-addressed kinds reach a replica
+// holder as reach the primary. Every tree a rank holds is a shard slot of
+// its default tenant (registry.go), so a replica's KNN and radius legs ride
+// the micro-batching dispatcher exactly like the rank's own shard's, and
+// count in the tenant's queries, /metrics and stage histograms. Liveness
+// comes from transport failures and a background heartbeat (health.go); a
+// dead rank's shards are re-pulled by the next ranks in the chain over the
 // section-streaming protocol (replica.go).
 //
 // The dispatcher never blocks on the network (router goroutines do), and a
@@ -180,7 +184,18 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 			repl = len(holders)
 		}
 	}
+	rank := shard.Rank()
 	s := New(shard.LocalTree(), cfg.Config)
+	// The default tenant holds one slot per shard: this rank's own tree and
+	// every replica it opened; re-replication fills further slots later.
+	s.def.shards = make([]atomic.Pointer[panda.Tree], shard.Ranks())
+	for sh, tree := range cfg.Replicas {
+		if sh < 0 || sh >= shard.Ranks() {
+			return nil, fmt.Errorf("server: replica shard %d out of range for %d ranks", sh, shard.Ranks())
+		}
+		s.def.shards[sh].Store(tree)
+	}
+	s.def.shards[rank].Store(shard.LocalTree())
 	if cfg.TotalPoints > 0 {
 		// Clients see the logical cluster-wide tree, not this rank's shard.
 		s.def.id.Points = cfg.TotalPoints
@@ -195,7 +210,6 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 	} else {
 		s.def.id.Fingerprint = 0
 	}
-	rank := shard.Rank()
 	s.rank = int32(rank) // label this rank's trace spans
 	rt := &router{
 		s:           s,
@@ -204,7 +218,6 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 		peers:       make([]*peer, shard.Ranks()),
 		sets:        sets,
 		repl:        repl,
-		replicas:    newReplicaRegistry(cfg.Replicas),
 		health:      newHealthTracker(shard.Ranks(), rank, cfg.FailThreshold),
 		snapDir:     cfg.SnapshotDir,
 		totalPoints: cfg.TotalPoints,
@@ -242,7 +255,6 @@ type router struct {
 
 	sets        [][]int // shard → holder ranks, primary first
 	repl        int     // placement replication factor
-	replicas    *replicaRegistry
 	health      *healthTracker
 	sections    *sectionServer // nil: section streaming disabled
 	snapDir     string
@@ -267,13 +279,10 @@ func (rt *router) closePeers() {
 	}
 }
 
-// shardTree returns this rank's copy of shard s (own tree or replica), nil
-// if not held.
+// shardTree returns this rank's copy of shard s (own tree or replica) from
+// the default tenant's slots, nil if not held.
 func (rt *router) shardTree(s int) *panda.Tree {
-	if s == rt.rank {
-		return rt.shard.LocalTree()
-	}
-	return rt.replicas.get(s)
+	return rt.s.def.shards[s].Load()
 }
 
 // liveHolders appends shard s's currently-routable holders in preference
@@ -321,15 +330,17 @@ func (rt *router) route(p *pending) {
 	}
 }
 
-// localStage runs one request through this rank's micro-batching dispatcher
-// and returns copies of the results (the dispatcher's arenas are reused)
-// plus the dispatcher-side stage breakdown (intake wait, batch assembly,
-// engine) so the routed request can attribute its owner-local time to the
-// right stages. Returned offsets are 0-based.
-func (rt *router) localStage(kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, stageBreakdown, error) {
+// localStage runs one request against tree — one of this rank's shard
+// slots — through the micro-batching dispatcher and returns copies of the
+// results (the dispatcher's arenas are reused) plus the dispatcher-side
+// stage breakdown (intake wait, batch assembly, engine) so the routed
+// request can attribute its owner-local time to the right stages. Returned
+// offsets are 0-based.
+func (rt *router) localStage(tree *panda.Tree, kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, stageBreakdown, error) {
 	s := rt.s
 	lp := s.getPending()
 	lp.eng = s.def // cluster ranks serve one dataset: the default tenant
+	lp.tree = tree
 	lp.req.ID = 0
 	lp.req.Kind = kind
 	lp.req.K = k
@@ -393,16 +404,7 @@ func (rt *router) routeKNN(p *pending) {
 
 	res := make([][]panda.Neighbor, nq)
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
+	var errs firstErr
 	for o, idx := range groups {
 		if len(idx) == 0 {
 			continue
@@ -410,71 +412,101 @@ func (rt *router) routeKNN(p *pending) {
 		wg.Add(1)
 		go func(o int, idx []int) {
 			defer wg.Done()
-			rt.serveShardGroup(p, o, coords, idx, k, dims, res, fail)
+			errs.set(rt.serveShardGroup(p, o, coords, idx, k, dims, res))
 		}(o, idx)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		rt.writeError(p, firstErr)
+	if errs.err != nil {
+		rt.writeError(p, errs.err)
 		return
 	}
 	rt.writeNeighbors(p, res)
 }
 
-// serveShardGroup answers one owner shard's queries at the shard's first
-// live holder, walking the replica chain on failures. A non-primary answer
-// counts as a failover; answers are bit-identical either way (replicas open
-// the same snapshot bytes). Forwarding is charged to the remote-exchange
-// stage of p — from this rank's vantage the whole owner pipeline ran on the
-// other side of a peer round-trip (the forwarded rank's own decomposition
-// comes back as trace spans when p is traced).
-func (rt *router) serveShardGroup(p *pending, o int, coords []float32, idx []int, k, dims int, res [][]panda.Neighbor, fail func(error)) {
-	holders := rt.liveHolders(o, nil)
-	if len(holders) == 0 {
-		fail(fmt.Errorf("shard %d: no live holder", o))
+// firstErr keeps the first error reported by concurrent legs of one
+// request; read err after the legs are joined.
+type firstErr struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstErr) set(err error) {
+	if err == nil {
 		return
 	}
-	primary := rt.sets[o][0]
-	var fwd []float32
-	var lastErr error
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+}
+
+// walkHolders runs one step for shard s at its live holders in preference
+// order until a leg succeeds; leg(h) does the work at holder h, this rank
+// or a peer. A transport error marks the peer failed, and every error walks
+// on to the next holder — a semantic refusal (e.g. a replica not yet
+// fetched) comes from a live peer that just cannot answer. A success
+// anywhere but the primary counts one failover; answers are bit-identical
+// either way (replicas open the same snapshot bytes). Returns the last
+// leg's error when no holder answered.
+func (rt *router) walkHolders(s int, leg func(h int) error) error {
+	holders := rt.liveHolders(s, nil)
+	if len(holders) == 0 {
+		return fmt.Errorf("shard %d: no live holder", s)
+	}
+	var err error
 	for _, h := range holders {
-		if h == rt.rank {
-			// Serve here, from the owner tree or this rank's replica copy.
-			if rt.ownedShardKNN(p, o, coords, idx, k, dims, res, fail) && rt.rank != primary {
-				rt.s.statFailovers.Add(1)
-			}
-			return
-		}
-		if fwd == nil {
-			fwd = gatherCoords(coords, idx, dims)
-		}
-		legStart := time.Now()
-		flat, offs, err := rt.peers[h].forwardShardKNN(o, fwd, k, dims, p.trace)
-		p.trailExchange.Add(int64(time.Since(legStart)))
-		if err != nil {
-			lastErr = fmt.Errorf("forward shard %d to rank %d: %w", o, h, err)
-			if isTransportErr(err) {
+		if err = leg(h); err != nil {
+			if h != rt.rank && isTransportErr(err) {
 				rt.health.fail(h)
 				rt.s.statPeerFailures.Add(1)
 			}
-			// Semantic refusals (e.g. a replica not yet fetched) also walk
-			// on: the peer is alive, just not holding the shard.
 			continue
 		}
-		rt.health.ok(h)
+		if h != rt.rank {
+			rt.health.ok(h)
+		}
+		if h != rt.sets[s][0] {
+			rt.s.statFailovers.Add(1)
+		}
+		return nil
+	}
+	return err
+}
+
+// serveShardGroup answers owner shard o's queries (coords rows idx) at the
+// shard's first live holder: the owner pipeline here when this rank holds a
+// copy, a KindShardKNN forward otherwise. Forwarding is charged to the
+// remote-exchange stage of p — from this rank's vantage the whole owner
+// pipeline ran on the other side of a peer round-trip (the forwarded rank's
+// own decomposition comes back as trace spans when p is traced).
+func (rt *router) serveShardGroup(p *pending, o int, coords []float32, idx []int, k, dims int, res [][]panda.Neighbor) error {
+	packed := gatherCoords(coords, idx, dims)
+	return rt.walkHolders(o, func(h int) error {
+		if h == rt.rank {
+			out := make([][]panda.Neighbor, len(idx))
+			if err := rt.ownedShardKNN(p, rt.shardTree(o), o, packed, k, out); err != nil {
+				return err
+			}
+			for j, qi := range idx {
+				res[qi] = out[j]
+			}
+			return nil
+		}
+		legStart := time.Now()
+		flat, offs, err := rt.peers[h].forwardShardKNN(o, packed, k, dims, p.trace)
+		p.trailExchange.Add(int64(time.Since(legStart)))
+		if err != nil {
+			return fmt.Errorf("forward shard %d to rank %d: %w", o, h, err)
+		}
 		if len(offs) != len(idx)+1 {
-			fail(fmt.Errorf("rank %d answered %d queries, want %d", h, len(offs)-1, len(idx)))
-			return
+			return fmt.Errorf("rank %d answered %d queries, want %d", h, len(offs)-1, len(idx))
 		}
 		for j, qi := range idx {
 			res[qi] = flat[offs[j]:offs[j+1]]
 		}
-		if h != primary {
-			rt.s.statFailovers.Add(1)
-		}
-		return
-	}
-	fail(lastErr)
+		return nil
+	})
 }
 
 // maxExchangeWorkers bounds how many of a batch's remote-candidate
@@ -483,49 +515,22 @@ func (rt *router) serveShardGroup(p *pending, o int, coords []float32, idx []int
 // small pool overlaps them without letting one giant batch flood the peers.
 const maxExchangeWorkers = 16
 
-// ownedShardKNN is the owner-side pipeline for queries owned by shard o,
-// run on this rank's copy of o (its own tree when o is this rank, a replica
-// tree otherwise): local KNN (§III-B step 2 — through the micro-batching
-// dispatcher for the rank's own shard, a direct pooled engine call for a
-// replica), then the bounded remote-candidate exchange and top-k merge
+// ownedShardKNN is the owner-side pipeline for the queries in coords, all
+// owned by shard o, run on tree — this rank's copy of o, its own shard or a
+// replica alike: local KNN through the micro-batching dispatcher (§III-B
+// step 2), then the bounded remote-candidate exchange and top-k merge
 // (steps 3–5) per query whose r'-ball crosses shard boundaries — exchanges
 // for different queries are independent round-trips and run concurrently.
-// Reports whether every query was answered (false after a fail call).
-func (rt *router) ownedShardKNN(p *pending, o int, coords []float32, idx []int, k, dims int, res [][]panda.Neighbor, fail func(error)) bool {
-	packed := gatherCoords(coords, idx, dims)
-	var lflat []panda.Neighbor
-	var loffs []int32
-	var err error
-	if o == rt.rank {
-		var bd stageBreakdown
-		lflat, loffs, bd, err = rt.localStage(proto.KindKNN, k, len(idx), 0, packed)
-		p.addBreakdown(bd)
-	} else {
-		tree := rt.replicas.get(o)
-		if tree == nil {
-			fail(fmt.Errorf("shard %d not held on rank %d", o, rt.rank))
-			return false
-		}
-		engStart := time.Now()
-		lflat, loffs, err = tree.KNNBatchFlatInto(packed, k, nil, nil)
-		p.trailEngine.Add(int64(time.Since(engStart)))
-		if err == nil && len(loffs) > 0 && loffs[0] != 0 {
-			base := loffs[0]
-			for i := range loffs {
-				loffs[i] -= base
-			}
-		}
-	}
+// Query j's answer lands in res[j]; the first failure is returned.
+func (rt *router) ownedShardKNN(p *pending, tree *panda.Tree, o int, coords []float32, k int, res [][]panda.Neighbor) error {
+	dims := rt.shard.Dims()
+	lflat, loffs, bd, err := rt.localStage(tree, proto.KindKNN, k, len(res), 0, coords)
+	p.addBreakdown(bd)
 	if err != nil {
-		fail(err)
-		return false
+		return err
 	}
-	workers := len(idx)
-	if workers > maxExchangeWorkers {
-		workers = maxExchangeWorkers
-	}
-	var answered atomic.Bool
-	answered.Store(true)
+	workers := min(len(res), maxExchangeWorkers)
+	var errs firstErr
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -535,12 +540,11 @@ func (rt *router) ownedShardKNN(p *pending, o int, coords []float32, idx []int, 
 			var targets []int
 			for {
 				j := int(cursor.Add(1)) - 1
-				if j >= len(idx) {
+				if j >= len(res) {
 					return
 				}
-				qi := idx[j]
 				nbrs := lflat[loffs[j]:loffs[j+1]]
-				q := coords[qi*dims : (qi+1)*dims]
+				q := coords[j*dims : (j+1)*dims]
 				// r'² = distance to the kth local candidate; unbounded when
 				// the local shard holds fewer than k points. The exchange
 				// is strict (candidates closer than r'²), exactly like the
@@ -557,23 +561,22 @@ func (rt *router) ownedShardKNN(p *pending, o int, coords []float32, idx []int, 
 				// hand locally.
 				targets = rt.shard.RanksWithin(q, r2, o, targets[:0])
 				if len(targets) == 0 {
-					res[qi] = nbrs
+					res[j] = nbrs
 					continue
 				}
 				exStart := time.Now()
 				merged, err := rt.exchange(q, k, r2, nbrs, targets, p.trace)
 				p.trailExchange.Add(int64(time.Since(exStart)))
 				if err != nil {
-					fail(err)
-					answered.Store(false)
+					errs.set(err)
 					return
 				}
-				res[qi] = merged
+				res[j] = merged
 			}
 		}()
 	}
 	wg.Wait()
-	return answered.Load()
+	return errs.err
 }
 
 // exchange performs §III-B steps 4–5 for one owned query: bounded remote
@@ -619,85 +622,37 @@ func (rt *router) exchange(q []float32, k int, r2 float32, local []panda.Neighbo
 // of q) from its first live holder: a local copy when this rank holds one,
 // any other holder via KindShardRemoteKNN.
 func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *traceCtx) ([]panda.Neighbor, error) {
-	holders := rt.liveHolders(t, nil)
-	if len(holders) == 0 {
-		return nil, fmt.Errorf("no live holder")
-	}
-	primary := rt.sets[t][0]
-	var lastErr error
-	for _, h := range holders {
-		var nbrs []panda.Neighbor
-		var err error
+	var nbrs []panda.Neighbor
+	err := rt.walkHolders(t, func(h int) (err error) {
 		if h == rt.rank {
 			nbrs = rt.shardTree(t).KNNBoundedInto(q, k, r2, nil)
-		} else {
-			nbrs, err = rt.peers[h].shardRemoteKNN(t, q, k, r2, tc)
+			return nil
 		}
-		if err != nil {
-			lastErr = err
-			if isTransportErr(err) {
-				rt.health.fail(h)
-				rt.s.statPeerFailures.Add(1)
-			}
-			continue
-		}
-		if h != rt.rank {
-			rt.health.ok(h)
-		}
-		if h != primary {
-			rt.s.statFailovers.Add(1)
-		}
-		return nbrs, nil
-	}
-	return nil, lastErr
+		nbrs, err = rt.peers[h].shardRemoteKNN(t, q, k, r2, tc)
+		return err
+	})
+	return nbrs, err
 }
 
 // shardRadiusAt fetches shard t's points within r2 of q from its first live
-// holder, mirroring shardCandidates. Each leg charges p's stage trail:
-// dispatcher legs split into queue/linger (batch assembly)/engine, local
-// replica scans count as engine, peer round-trips as remote exchange.
+// holder: through this rank's dispatcher when it holds a copy (the leg
+// splits into queue/linger (batch assembly)/engine on p's stage trail),
+// otherwise as a peer round-trip charged to remote exchange.
 func (rt *router) shardRadiusAt(p *pending, t int, q []float32, r2 float32) ([]panda.Neighbor, error) {
-	holders := rt.liveHolders(t, nil)
-	if len(holders) == 0 {
-		return nil, fmt.Errorf("no live holder")
-	}
-	primary := rt.sets[t][0]
-	var lastErr error
-	for _, h := range holders {
-		var nbrs []panda.Neighbor
-		var err error
-		switch {
-		case h == rt.rank && t == rt.rank:
-			// Own shard: through the dispatcher like any local radius work.
+	var nbrs []panda.Neighbor
+	err := rt.walkHolders(t, func(h int) (err error) {
+		if h == rt.rank {
 			var bd stageBreakdown
-			nbrs, _, bd, err = rt.localStage(proto.KindRadius, 0, 1, r2, q)
+			nbrs, _, bd, err = rt.localStage(rt.shardTree(t), proto.KindRadius, 0, 1, r2, q)
 			p.addBreakdown(bd)
-		case h == rt.rank:
-			engStart := time.Now()
-			nbrs = rt.shardTree(t).RadiusSearchInto(q, r2, nil)
-			p.trailEngine.Add(int64(time.Since(engStart)))
-		default:
-			legStart := time.Now()
-			nbrs, err = rt.peers[h].shardRadius(t, q, r2, p.trace)
-			p.trailExchange.Add(int64(time.Since(legStart)))
+			return err
 		}
-		if err != nil {
-			lastErr = err
-			if isTransportErr(err) {
-				rt.health.fail(h)
-				rt.s.statPeerFailures.Add(1)
-			}
-			continue
-		}
-		if h != rt.rank {
-			rt.health.ok(h)
-		}
-		if h != primary {
-			rt.s.statFailovers.Add(1)
-		}
-		return nbrs, nil
-	}
-	return nil, lastErr
+		legStart := time.Now()
+		nbrs, err = rt.peers[h].shardRadius(t, q, r2, p.trace)
+		p.trailExchange.Add(int64(time.Since(legStart)))
+		return err
+	})
+	return nbrs, err
 }
 
 // routeRadius answers one radius request: the ball is known up front, so
@@ -760,28 +715,14 @@ func (rt *router) routeShardKNN(p *pending) {
 		rt.writeError(p, fmt.Errorf("shard %d out of range for %d ranks", o, rt.shard.Ranks()))
 		return
 	}
-	if rt.shardTree(o) == nil {
+	tree := rt.shardTree(o)
+	if tree == nil {
 		rt.writeError(p, fmt.Errorf("shard %d not held on rank %d", o, rt.rank))
 		return
 	}
-	nq := p.req.NQ
-	idx := make([]int, nq)
-	for i := range idx {
-		idx[i] = i
-	}
-	res := make([][]panda.Neighbor, nq)
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	rt.ownedShardKNN(p, o, p.req.Coords, idx, p.req.K, rt.shard.Dims(), res, fail)
-	if firstErr != nil {
-		rt.writeError(p, firstErr)
+	res := make([][]panda.Neighbor, p.req.NQ)
+	if err := rt.ownedShardKNN(p, tree, o, p.req.Coords, p.req.K, res); err != nil {
+		rt.writeError(p, err)
 		return
 	}
 	rt.writeNeighbors(p, res)

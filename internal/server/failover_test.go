@@ -55,9 +55,10 @@ func writeReplicatedSnapshot(t *testing.T, tc *testCluster, dir string, replicat
 }
 
 // warmReplicatedCluster warm-starts a serving cluster where rank r opens
-// dirs[r] (pass the same directory p times to share one). Returns the
-// servers and their addresses.
-func warmReplicatedCluster(t *testing.T, dirs []string, total int64) ([]*Server, []string) {
+// dirs[r] (pass the same directory p times to share one). Each prepare hook
+// sees every rank's server before it starts serving. Returns the servers and
+// their addresses.
+func warmReplicatedCluster(t *testing.T, dirs []string, total int64, prepare ...func(r int, srv *Server)) ([]*Server, []string) {
 	t.Helper()
 	p := len(dirs)
 	lns := make([]net.Listener, p)
@@ -86,6 +87,9 @@ func warmReplicatedCluster(t *testing.T, dirs []string, total int64) ([]*Server,
 		servers[r], err = NewCluster(cs.Tree, cfg)
 		if err != nil {
 			t.Fatalf("rank %d NewCluster: %v", r, err)
+		}
+		for _, prep := range prepare {
+			prep(r, servers[r])
 		}
 		go servers[r].Serve(lns[r])
 	}
@@ -266,7 +270,7 @@ func TestReplicaFailoverKillRankE2E(t *testing.T) {
 	puller := (victim + 2) % p
 	source := (victim + 1) % p
 	deadline := time.Now().Add(15 * time.Second)
-	for servers[puller].cluster.replicas.get(victim) == nil {
+	for servers[puller].cluster.shardTree(victim) == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("rank %d never re-replicated shard %d", puller, victim)
 		}
@@ -297,6 +301,96 @@ func TestReplicaFailoverKillRankE2E(t *testing.T) {
 	// of shard victim on the source rank), so it may leave.
 	if err := servers[puller].Drainable(); err != nil {
 		t.Fatalf("rank %d with fully covered shards refused to drain: %v", puller, err)
+	}
+}
+
+// TestFailoverLegsShareDispatchRound kills a primary and sends one batch
+// mixing queries of the failover rank's own shard and of the dead rank's
+// shard to the failover rank, whose dispatcher is held. Both owner-local
+// legs — own tree and replica — must queue on its intake and run in the
+// same dispatch round, answer bit-identically to a single tree over the
+// union of the shards, and count in the rank's tenant and global queries.
+func TestFailoverLegsShareDispatchRound(t *testing.T) {
+	const (
+		dims     = 3
+		n        = 6000
+		p        = 4
+		victim   = 0
+		failover = 1 // holds shard victim's replica
+		perShard = 3
+		k        = 6
+	)
+	coords := uniformCoords(n, dims, 53)
+	ref, err := panda.Build(coords, dims, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, coords, dims, p, Config{})
+	dir := t.TempDir()
+	writeReplicatedSnapshot(t, tc, dir, 2)
+	dirs := []string{dir, dir, dir, dir}
+	hold := make(chan struct{})
+	servers, addrs := warmReplicatedCluster(t, dirs, n, func(r int, srv *Server) {
+		if r == failover {
+			srv.hold = hold
+		}
+	})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release) // before the cluster's Shutdown, which drains the dispatcher
+
+	kill(servers[victim])
+	srv := servers[failover]
+	waitUntil(t, "the failover rank to mark the victim dead", func() bool { return !srv.cluster.health.live(victim) })
+
+	// perShard queries owned by the dead shard, then perShard by the
+	// failover rank's own shard.
+	rng := rand.New(rand.NewSource(7))
+	var batch []float32
+	for _, shard := range []int{victim, failover} {
+		for got := 0; got < perShard; {
+			q := []float32{rng.Float32(), rng.Float32(), rng.Float32()}
+			if tc.dts[0].Owner(q) == shard {
+				batch = append(batch, q...)
+				got++
+			}
+		}
+	}
+	c, err := panda.Dial(addrs[failover])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type answer struct {
+		res [][]panda.Neighbor
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := c.KNNBatch(batch, k)
+		done <- answer{res, err}
+	}()
+	waitUntil(t, "both owner-local legs on the held intake", func() bool { return len(srv.intake) == 2 })
+	release()
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	for i := range a.res {
+		if want := ref.KNN(batch[i*dims:(i+1)*dims], k); !sameNeighbors(a.res[i], want) {
+			t.Fatalf("query %d: got %v, want %v", i, a.res[i], want)
+		}
+	}
+	st := srv.Stats()
+	if st.Batches != 1 {
+		t.Errorf("Batches = %d, want both legs in 1 dispatch round", st.Batches)
+	}
+	if want := int64(2 * perShard); st.Queries != want || srv.TenantStats()[proto.DefaultDataset].Queries != want {
+		t.Errorf("Queries = %d (tenant %d), want %d: replica-served queries must count",
+			st.Queries, srv.TenantStats()[proto.DefaultDataset].Queries, want)
+	}
+	if st.Failovers == 0 {
+		t.Error("no failover counted for the dead shard's queries")
 	}
 }
 

@@ -1,11 +1,14 @@
-// Multi-dataset tenancy: the registry maps dataset names to engines — a
-// tree plus its per-tenant serving counters. One server process hosts many
-// trees; each connection binds to exactly one engine at handshake (the v3
-// hello names it, an empty name gets the default), and everything downstream
-// of the handshake — admission, dispatch grouping, metrics — carries the
-// engine instead of assuming a process-global tree. The registry is
-// assembled before the server starts and immutable afterwards, so the hot
-// path reads it without locks.
+// Multi-dataset tenancy: the registry maps dataset names to engines — the
+// trees a process holds for one dataset plus its per-tenant serving
+// counters. It is the process's only name→tree table: a single-node tenant
+// has one shard slot, and a cluster rank's default tenant has one slot per
+// shard (its own tree, the replicas it holds, and the ones re-replication
+// pulls in later). Each connection binds to exactly one engine at handshake
+// (the v3 hello names it, an empty name gets the default), and everything
+// downstream of the handshake — admission, dispatch grouping, metrics —
+// carries the engine instead of assuming a process-global tree. The name
+// table is assembled before the server starts and immutable afterwards, and
+// slots are atomic pointers, so the hot path reads both without locks.
 package server
 
 import (
@@ -16,12 +19,15 @@ import (
 	"panda/internal/proto"
 )
 
-// engine is one served dataset: the tree and its serving counters. These
-// are the only query, shed, slow and latency counters the server keeps;
-// the global values (Stats, /metrics) are their sums over tenants.
+// engine is one served dataset: the trees held for it and its serving
+// counters. These are the only query, shed, slow and latency counters the
+// server keeps; the global values (Stats, /metrics) are their sums over
+// tenants.
 type engine struct {
-	tree *panda.Tree
-	id   proto.DatasetID
+	id proto.DatasetID
+	// shards holds one slot per shard of the dataset; a nil slot is a shard
+	// this process does not hold. Slots are only ever filled, never cleared.
+	shards []atomic.Pointer[panda.Tree]
 
 	// queries counts answered queries (a batch of nq counts nq), shed
 	// counts admission refusals, slow counts requests over the -slow-query
@@ -59,15 +65,17 @@ func (r *Registry) Add(name string, tree *panda.Tree) error {
 	if _, dup := r.tenants[name]; dup {
 		return fmt.Errorf("server: dataset %q registered twice", name)
 	}
-	r.tenants[name] = &engine{
-		tree: tree,
+	e := &engine{
 		id: proto.DatasetID{
 			Name:        name,
 			Dims:        tree.Dims(),
 			Points:      int64(tree.Len()),
 			Fingerprint: tree.Fingerprint(),
 		},
+		shards: make([]atomic.Pointer[panda.Tree], 1),
 	}
+	e.shards[0].Store(tree)
+	r.tenants[name] = e
 	r.order = append(r.order, name)
 	return nil
 }

@@ -1,14 +1,13 @@
-// Replica management: the registry of replica shard trees this rank can
-// answer for, the section-streaming server that ships snapshot files to
-// under-replicated peers, and the pull-based repair loop that keeps every
-// shard at its replication factor while ranks die and (re)join.
+// Replica management: the section-streaming server that ships snapshot
+// files to under-replicated peers, and the pull-based repair loop that
+// keeps every shard at its replication factor while ranks die and (re)join
+// (a pulled shard lands in its slot of the default tenant, registry.go).
 package server
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -22,43 +21,6 @@ import (
 // a quarter of the protocol cap, so shard streaming interleaves politely
 // with query traffic on the shared peer connection.
 const replicaFetchChunk = 256 << 10
-
-// shardFileName names shard s's snapshot inside a cluster snapshot
-// directory (must match the root package's layout).
-func shardFileName(dir string, s int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank-%d.pnds", s))
-}
-
-// manifestFileName is the cluster snapshot directory's manifest.
-const manifestFileName = "manifest.json"
-
-// replicaRegistry maps shard → opened replica tree. Reads are the failover
-// query path; writes happen at warm start and when re-replication lands a
-// new shard.
-type replicaRegistry struct {
-	mu    sync.RWMutex
-	trees map[int]*panda.Tree
-}
-
-func newReplicaRegistry(seed map[int]*panda.Tree) *replicaRegistry {
-	trees := make(map[int]*panda.Tree, len(seed))
-	for s, t := range seed {
-		trees[s] = t
-	}
-	return &replicaRegistry{trees: trees}
-}
-
-func (rr *replicaRegistry) get(s int) *panda.Tree {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	return rr.trees[s]
-}
-
-func (rr *replicaRegistry) put(s int, t *panda.Tree) {
-	rr.mu.Lock()
-	rr.trees[s] = t
-	rr.mu.Unlock()
-}
 
 // sectionServer answers KindFetchSection requests from the snapshot
 // directory. Sources stay open across chunks so a concurrently re-written
@@ -82,9 +44,9 @@ func (ss *sectionServer) read(shard int, off uint64, maxLen int, buf []byte) (da
 	ss.mu.Lock()
 	cs := ss.open[shard]
 	if cs == nil {
-		path := shardFileName(ss.dir, shard)
+		path := snapshot.ShardFile(ss.dir, shard)
 		if shard == proto.ManifestShard {
-			path = filepath.Join(ss.dir, manifestFileName)
+			path = snapshot.ManifestFile(ss.dir)
 		}
 		cs, err = snapshot.OpenChunkSource(path)
 		if err != nil {
@@ -155,7 +117,7 @@ func (rt *router) maybeRereplicate() {
 // Failures are left for the next heartbeat sweep to retry.
 func (rt *router) rereplicate() {
 	for _, s := range rt.desiredShards(nil) {
-		if s == rt.rank || rt.replicas.get(s) != nil {
+		if rt.shardTree(s) != nil {
 			continue
 		}
 		rt.fetchShard(s)
@@ -164,7 +126,8 @@ func (rt *router) rereplicate() {
 
 // fetchShard streams shard s's snapshot file from any live static holder,
 // commits it into the snapshot directory (atomic, doubly CRC-checked), and
-// registers the opened tree so this rank starts answering for s.
+// stores the opened tree in shard s's slot so this rank starts answering
+// for s.
 func (rt *router) fetchShard(s int) error {
 	var lastErr error
 	for _, h := range rt.sets[s] {
@@ -189,23 +152,17 @@ func (rt *router) fetchShard(s int) error {
 
 func (rt *router) fetchShardFrom(s, h int) error {
 	asm := snapshot.NewAssembler()
-	for !asm.Complete() {
-		data, fileSize, crc, err := rt.peers[h].fetchSection(s, asm.Next(), replicaFetchChunk)
-		if err != nil {
-			return err
-		}
-		if err := asm.Add(asm.Next(), fileSize, crc, data); err != nil {
-			return err
-		}
+	if err := streamInto(rt.peers[h], s, asm); err != nil {
+		return err
 	}
-	if _, err := asm.Commit(shardFileName(rt.snapDir, s)); err != nil {
+	if _, err := asm.Commit(snapshot.ShardFile(rt.snapDir, s)); err != nil {
 		return err
 	}
 	tree, err := panda.OpenReplicaShard(rt.snapDir, s, rt.shard.Ranks(), rt.shard.Dims(), rt.totalPoints)
 	if err != nil {
 		return fmt.Errorf("server: opening fetched shard %d: %w", s, err)
 	}
-	rt.replicas.put(s, tree)
+	rt.s.def.shards[s].Store(tree)
 	return nil
 }
 
@@ -322,7 +279,7 @@ func FetchClusterSnapshot(dir string, rank int, addrs []string, timeout time.Dur
 	if err := core.ValidateReplicaSets(sets, m.Ranks); err != nil {
 		return fmt.Errorf("server: streamed manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestFileName), mb, 0o666); err != nil {
+	if err := os.WriteFile(snapshot.ManifestFile(dir), mb, 0o666); err != nil {
 		return err
 	}
 
@@ -338,7 +295,7 @@ func FetchClusterSnapshot(dir string, rank int, addrs []string, timeout time.Dur
 				lastErr = err
 				continue
 			}
-			if _, err := asm.Commit(shardFileName(dir, s)); err != nil {
+			if _, err := asm.Commit(snapshot.ShardFile(dir, s)); err != nil {
 				lastErr = err
 				continue
 			}

@@ -526,11 +526,13 @@ type pending struct {
 	c    *conn
 	req  proto.Request
 	done func(flat []panda.Neighbor, offsets []int32, err error)
-	// eng is the dataset this request runs against (the connection's bound
-	// tenant; the default engine for internal router stages). The
-	// dispatcher groups coalesced KNN work by (eng, k) and answers each
-	// group from eng's tree.
-	eng *engine
+	// eng is the dataset this request is counted against (the connection's
+	// bound tenant; the default engine for internal router stages), and tree
+	// is the one of eng's shard trees it runs against, resolved when the
+	// request is enqueued. The dispatcher groups coalesced KNN work by
+	// (tree, k).
+	eng  *engine
+	tree *panda.Tree
 	// arrived is when the reader decoded the request off the wire (zero for
 	// internal router stages); the latency histograms observe it when the
 	// response is written.
@@ -650,6 +652,7 @@ func (s *Server) putPending(p *pending) {
 	p.c = nil
 	p.done = nil
 	p.eng = nil
+	p.tree = nil
 	p.arrived = time.Time{}
 	p.decodeStart = time.Time{}
 	p.dequeued = time.Time{}
@@ -813,10 +816,10 @@ func (s *Server) serveConn(c *conn) {
 		// Cluster mode: every remaining kind goes through the shard router
 		// (owner lookup, forwarding, remote-candidate exchange, failover) in
 		// its own goroutine so the reader keeps pipelining and the
-		// dispatcher never blocks on the network. The shard-addressed kinds
-		// answer from the named shard's tree on the router goroutine (the
-		// dispatcher only batches KindKNN/KindRadius for the rank's own
-		// tree), and section fetches are disk reads the dispatcher should
+		// dispatcher never blocks on the network. The router hands its
+		// owner-local KNN and radius legs back to the dispatcher against the
+		// held shard's tree; a peer's single-shard kinds answer on the router
+		// goroutine, and section fetches are disk reads the dispatcher should
 		// never wait behind.
 		if s.cluster != nil {
 			if c.routeSem == nil {
@@ -833,6 +836,7 @@ func (s *Server) serveConn(c *conn) {
 			}(p)
 			continue
 		}
+		p.tree = c.eng.shards[0].Load() // a single-node tenant has one shard
 		s.intake <- p
 	}
 	if !s.draining() {
@@ -919,9 +923,9 @@ func (s *Server) dispatch() {
 }
 
 // process answers every request in d.batch: KNN requests grouped by
-// (tenant, k) into single engine calls, radius requests individually
-// against their tenant's tree. All staging buffers are reused; the loop
-// allocates nothing once warm.
+// (tree, k) into single engine calls, radius requests individually against
+// their tree; queries count against each request's tenant. All staging
+// buffers are reused; the loop allocates nothing once warm.
 func (d *dispatcher) process() {
 	s := d.s
 	n := len(d.batch)
@@ -948,7 +952,7 @@ func (d *dispatcher) process() {
 		p := d.batch[i]
 		if p.req.Kind == proto.KindRadius {
 			d.done[i] = true
-			d.radius = p.eng.tree.RadiusSearchInto(p.req.Coords, p.req.R2, d.radius[:0])
+			d.radius = p.tree.RadiusSearchInto(p.req.Coords, p.req.R2, d.radius[:0])
 			p.engined = time.Now()
 			if len(d.radius) > proto.MaxResultNeighbors {
 				// Refuse before encoding: a dense-enough ball would
@@ -962,22 +966,23 @@ func (d *dispatcher) process() {
 			d.respondNeighbors(p, d.offs2, d.radius)
 			continue
 		}
-		// Gather every not-yet-answered KNN request for the same tenant with
+		// Gather every not-yet-answered KNN request for the same tree with
 		// the same k: one engine call answers the whole group. Coalescing
-		// never crosses tenants — each group runs against exactly one tree.
+		// never crosses trees — a tenant's shards and different tenants
+		// each run their own engine call.
 		k := p.req.K
 		d.group = d.group[:0]
 		d.coords = d.coords[:0]
 		for j := i; j < n; j++ {
 			q := d.batch[j]
-			if d.done[j] || q.req.Kind != proto.KindKNN || q.req.K != k || q.eng != p.eng {
+			if d.done[j] || q.req.Kind != proto.KindKNN || q.req.K != k || q.tree != p.tree {
 				continue
 			}
 			d.done[j] = true
 			d.group = append(d.group, q)
 			d.coords = append(d.coords, q.req.Coords...)
 		}
-		flat, offsets, err := p.eng.tree.KNNBatchFlatInto(d.coords, k, d.flat, d.offsets)
+		flat, offsets, err := p.tree.KNNBatchFlatInto(d.coords, k, d.flat, d.offsets)
 		groupDone := time.Now()
 		for _, q := range d.group {
 			q.engined = groupDone

@@ -134,6 +134,9 @@ func TestStageMetricsReconcileCluster(t *testing.T) {
 			}
 		}
 		c.Close()
+		// The entry rank observes each request just after writing its
+		// response: wait for all 25 before scraping.
+		waitObserved(t, tc.servers[r], 25)
 	}
 
 	for r, srv := range tc.servers {

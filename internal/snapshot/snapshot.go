@@ -44,6 +44,7 @@ package snapshot
 import (
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 
 	"panda/internal/core"
 	"panda/internal/kdtree"
@@ -57,6 +58,14 @@ var (
 
 // Version is the snapshot format version this package reads and writes.
 const Version = 1
+
+// ShardFile names shard s's snapshot inside a cluster snapshot directory.
+func ShardFile(dir string, s int) string {
+	return filepath.Join(dir, fmt.Sprintf("rank-%d.pnds", s))
+}
+
+// ManifestFile names a cluster snapshot directory's manifest.
+func ManifestFile(dir string) string { return filepath.Join(dir, "manifest.json") }
 
 const (
 	headerSize  = 88

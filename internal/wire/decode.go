@@ -18,14 +18,15 @@ var ErrShort = errors.New("wire: short buffer")
 // ErrTooLarge reports a length prefix exceeding the decoder's sanity cap.
 var ErrTooLarge = errors.New("wire: length prefix exceeds cap")
 
-// Decoder consumes a wire buffer sequentially like Reader, but is safe on
-// untrusted input: instead of panicking, a malformed buffer makes every
-// subsequent read return zero values and sets a sticky error. Slice reads
-// verify the length prefix against both the remaining bytes and a caller
-// cap before allocating, so a hostile 0xFFFFFFFF prefix costs nothing.
+// Decoder consumes a wire buffer sequentially and is safe on untrusted
+// input: instead of panicking, a malformed buffer makes every subsequent
+// read return zero values and sets a sticky error. Slice reads verify the
+// length prefix against both the remaining bytes and a caller cap before
+// allocating, so a hostile 0xFFFFFFFF prefix costs nothing.
 //
-// Use Reader for internal rank-to-rank messages (short buffer = programming
-// bug) and Decoder for anything that arrived from outside the process.
+// Callers check Err after each message. For internal rank-to-rank messages
+// a short buffer is a programming bug, so those callers abort on it rather
+// than use the zero values.
 type Decoder struct {
 	b   []byte
 	off int

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -63,9 +65,46 @@ func FuzzConsumeSlices(f *testing.F) {
 	})
 }
 
-// FuzzConsumeMatchesReader cross-checks the Decoder against the trusted
-// panicking Reader: on any prefix both must agree on the values decoded, and
-// the Decoder must error exactly when the Reader would panic.
+// refReader is the fuzz oracle: the obvious sequential little-endian
+// reader, panicking on a short buffer.
+type refReader struct {
+	b   []byte
+	off int
+}
+
+func (r *refReader) next(n int) []byte {
+	if n > len(r.b)-r.off {
+		panic("short buffer")
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
+	return v
+}
+
+func (r *refReader) Uint32() uint32 { return binary.LittleEndian.Uint32(r.next(4)) }
+func (r *refReader) Int64() int64   { return int64(binary.LittleEndian.Uint64(r.next(8))) }
+
+func (r *refReader) Float32s() []float32 {
+	raw := r.next(4 * int(r.Uint32()))
+	out := make([]float32, len(raw)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out
+}
+
+func (r *refReader) Int32s() []int32 {
+	raw := r.next(4 * int(r.Uint32()))
+	out := make([]int32, len(raw)/4)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out
+}
+
+// FuzzConsumeMatchesReader cross-checks the Decoder against refReader: on
+// any prefix both must agree on the values decoded, and the Decoder must
+// error exactly when the reference reader would panic.
 func FuzzConsumeMatchesReader(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	b := AppendUint32(nil, 5)
@@ -73,7 +112,7 @@ func FuzzConsumeMatchesReader(f *testing.F) {
 	f.Add(b, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, ops uint8) {
 		d := NewDecoder(data)
-		r := NewReader(data)
+		r := &refReader{b: data}
 		for i := 0; i < int(ops%8)+1; i++ {
 			var dv, rv any
 			var panicked bool
@@ -107,12 +146,12 @@ func FuzzConsumeMatchesReader(f *testing.F) {
 			}
 			if panicked {
 				if d.Err() == nil {
-					t.Fatalf("op %d: Reader panicked but Decoder has no error", op)
+					t.Fatalf("op %d: reference reader panicked but Decoder has no error", op)
 				}
 				return
 			}
 			if d.Err() != nil {
-				t.Fatalf("op %d: Decoder error %v but Reader succeeded", op, d.Err())
+				t.Fatalf("op %d: Decoder error %v but the reference reader succeeded", op, d.Err())
 			}
 			switch want := rv.(type) {
 			case uint32:

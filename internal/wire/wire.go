@@ -2,12 +2,12 @@
 // between ranks: little-endian scalar and slice append/consume helpers.
 // PANDA's messages are dense numeric payloads (point blocks, histogram
 // counts, query batches), so a reflection-free encoder keeps (de)serializing
-// off the critical path.
+// off the critical path. Decoder is the one reader, for internal messages
+// and untrusted input alike.
 package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -66,88 +66,4 @@ func AppendInt32s(b []byte, vals []int32) []byte {
 		b = AppendInt32(b, v)
 	}
 	return b
-}
-
-// Reader consumes a wire buffer sequentially. Decoding past the end panics
-// with a descriptive error (messages are internal; a short buffer is a
-// programming bug, not an input error).
-type Reader struct {
-	b   []byte
-	off int
-}
-
-// NewReader wraps b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-func (r *Reader) need(n int) {
-	if r.off+n > len(r.b) {
-		panic(fmt.Sprintf("wire: short buffer: need %d bytes at offset %d of %d", n, r.off, len(r.b)))
-	}
-}
-
-// Uint32 consumes one uint32.
-func (r *Reader) Uint32() uint32 {
-	r.need(4)
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-// Int32 consumes one int32.
-func (r *Reader) Int32() int32 { return int32(r.Uint32()) }
-
-// Uint64 consumes one uint64.
-func (r *Reader) Uint64() uint64 {
-	r.need(8)
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-// Int64 consumes one int64.
-func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
-
-// Float32 consumes one float32.
-func (r *Reader) Float32() float32 { return math.Float32frombits(r.Uint32()) }
-
-// Float64 consumes one float64.
-func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
-
-// Float32s consumes a length-prefixed float32 slice.
-func (r *Reader) Float32s() []float32 {
-	n := int(r.Uint32())
-	r.need(4 * n)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off+4*i:]))
-	}
-	r.off += 4 * n
-	return out
-}
-
-// Int64s consumes a length-prefixed int64 slice.
-func (r *Reader) Int64s() []int64 {
-	n := int(r.Uint32())
-	r.need(8 * n)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(r.b[r.off+8*i:]))
-	}
-	r.off += 8 * n
-	return out
-}
-
-// Int32s consumes a length-prefixed int32 slice.
-func (r *Reader) Int32s() []int32 {
-	n := int(r.Uint32())
-	r.need(4 * n)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(r.b[r.off+4*i:]))
-	}
-	r.off += 4 * n
-	return out
 }

@@ -13,12 +13,13 @@ func TestScalarRoundTrip(t *testing.T) {
 	b = AppendUint64(b, 1<<40)
 	b = AppendInt64(b, -1<<40)
 	b = AppendFloat32(b, 3.25)
-	r := NewReader(b)
-	if r.Uint32() != 42 || r.Int32() != -7 || r.Uint64() != 1<<40 || r.Int64() != -1<<40 || r.Float32() != 3.25 {
+	b = AppendFloat64(b, -0.5)
+	d := NewDecoder(b)
+	if d.Uint32() != 42 || d.Int32() != -7 || d.Uint64() != 1<<40 || d.Int64() != -1<<40 || d.Float32() != 3.25 || d.Float64() != -0.5 {
 		t.Fatal("scalar round trip failed")
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining = %d", r.Remaining())
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("err = %v, remaining = %d", d.Err(), d.Remaining())
 	}
 }
 
@@ -30,10 +31,13 @@ func TestSliceRoundTrip(t *testing.T) {
 	b = AppendFloat32s(b, f32)
 	b = AppendInt64s(b, i64)
 	b = AppendInt32s(b, i32)
-	r := NewReader(b)
-	gf := r.Float32s()
-	g64 := r.Int64s()
-	g32 := r.Int32s()
+	d := NewDecoder(b)
+	gf := d.Float32sInto(nil, 0)
+	g64 := d.Int64sInto(nil, 0)
+	g32 := d.Int32sInto(nil, 0)
+	if d.Err() != nil || len(gf) != len(f32) || len(g64) != len(i64) || len(g32) != len(i32) {
+		t.Fatalf("err = %v, lengths %d/%d/%d", d.Err(), len(gf), len(g64), len(g32))
+	}
 	for i, v := range f32 {
 		if gf[i] != v {
 			t.Fatalf("float32s[%d] = %v, want %v", i, gf[i], v)
@@ -55,26 +59,17 @@ func TestEmptySlices(t *testing.T) {
 	var b []byte
 	b = AppendFloat32s(b, nil)
 	b = AppendInt64s(b, nil)
-	r := NewReader(b)
-	if len(r.Float32s()) != 0 || len(r.Int64s()) != 0 {
+	d := NewDecoder(b)
+	if len(d.Float32sInto(nil, 0)) != 0 || len(d.Int64sInto(nil, 0)) != 0 || d.Err() != nil {
 		t.Fatal("empty slices must round-trip empty")
 	}
 }
 
-func TestShortBufferPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short read did not panic")
-		}
-	}()
-	NewReader([]byte{1, 2}).Uint32()
-}
-
 func TestFloat32sPropertyRoundTrip(t *testing.T) {
 	f := func(vals []float32) bool {
-		b := AppendFloat32s(nil, vals)
-		got := NewReader(b).Float32s()
-		if len(got) != len(vals) {
+		d := NewDecoder(AppendFloat32s(nil, vals))
+		got := d.Float32sInto(nil, 0)
+		if d.Err() != nil || len(got) != len(vals) {
 			return false
 		}
 		for i := range vals {
@@ -92,9 +87,8 @@ func TestFloat32sPropertyRoundTrip(t *testing.T) {
 
 func TestNaNPreserved(t *testing.T) {
 	nan := float32(math.NaN())
-	b := AppendFloat32(nil, nan)
-	got := NewReader(b).Float32()
-	if !math.IsNaN(float64(got)) {
+	d := NewDecoder(AppendFloat32(nil, nan))
+	if got := d.Float32(); !math.IsNaN(float64(got)) {
 		t.Fatal("NaN not preserved")
 	}
 }

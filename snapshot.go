@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"panda/internal/core"
 	"panda/internal/kdtree"
@@ -98,14 +97,6 @@ func (t *Tree) SetThreads(n int) {
 	if n > 0 {
 		t.threads = n
 	}
-}
-
-// manifestName is the cluster snapshot directory's manifest file.
-const manifestName = "manifest.json"
-
-// rankFile names rank r's snapshot inside a cluster snapshot directory.
-func rankFile(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank-%d.pnds", rank))
 }
 
 // clusterManifest is the small JSON file describing a cluster snapshot
@@ -209,7 +200,7 @@ func (t *DistTree) WriteSnapshotReplicated(dir string, replication int) error {
 			GlobalNodes: t.dt.Global.Nodes,
 		},
 	}
-	if err := snapshot.WriteFile(rankFile(dir, rank), data); err != nil {
+	if err := snapshot.WriteFile(snapshot.ShardFile(dir, rank), data); err != nil {
 		return err
 	}
 	if rank != 0 {
@@ -230,7 +221,7 @@ func (t *DistTree) WriteSnapshotReplicated(dir string, replication int) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, manifestName), append(m, '\n'), 0o666)
+	return os.WriteFile(snapshot.ManifestFile(dir), append(m, '\n'), 0o666)
 }
 
 // OpenClusterSnapshot warm-starts one rank of a sharded cluster from a
@@ -241,7 +232,7 @@ func (t *DistTree) WriteSnapshotReplicated(dir string, replication int) error {
 // RanksWithin, LocalTree, server.NewCluster); the SPMD Query collective is
 // unavailable and returns an error. Call Close to release the mapping.
 func OpenClusterSnapshot(dir string, rank int) (*DistTree, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
+	mb, err := os.ReadFile(snapshot.ManifestFile(dir))
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +243,7 @@ func OpenClusterSnapshot(dir string, rank int) (*DistTree, error) {
 	if rank < 0 || rank >= m.Ranks {
 		return nil, fmt.Errorf("panda: rank %d out of range for %d-rank snapshot", rank, m.Ranks)
 	}
-	snap, err := snapshot.Open(rankFile(dir, rank))
+	snap, err := snapshot.Open(snapshot.ShardFile(dir, rank))
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +277,7 @@ type ClusterSnapshot struct {
 // missing replica file is not an error; it is reported in Missing for the
 // server to fetch.
 func OpenClusterSnapshotReplicated(dir string, rank int) (*ClusterSnapshot, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
+	mb, err := os.ReadFile(snapshot.ManifestFile(dir))
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +288,7 @@ func OpenClusterSnapshotReplicated(dir string, rank int) (*ClusterSnapshot, erro
 	if rank < 0 || rank >= m.Ranks {
 		return nil, fmt.Errorf("panda: rank %d out of range for %d-rank snapshot", rank, m.Ranks)
 	}
-	snap, err := snapshot.Open(rankFile(dir, rank))
+	snap, err := snapshot.Open(snapshot.ShardFile(dir, rank))
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +327,7 @@ func OpenClusterSnapshotReplicated(dir string, rank int) (*ClusterSnapshot, erro
 // expected topology. The returned tree answers local-shard calls (the
 // failover router's direct path) bit-identically to shard s's own rank.
 func OpenReplicaShard(dir string, s, ranks, dims int, totalPoints int64) (*Tree, error) {
-	snap, err := snapshot.Open(rankFile(dir, s))
+	snap, err := snapshot.Open(snapshot.ShardFile(dir, s))
 	if err != nil {
 		return nil, err
 	}
