@@ -27,7 +27,8 @@ func (sinkConn) SetReadDeadline(t time.Time) error  { return nil }
 func (sinkConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestDispatchLoopAllocs measures the server's steady-state dispatch path —
-// intake batch → grouped engine call → encoded responses — and requires
+// intake batch → grouped engine call → encoded, written and observed
+// responses — and requires
 // amortized zero allocations per query once warm.
 func TestDispatchLoopAllocs(t *testing.T) {
 	const (
@@ -52,6 +53,11 @@ func TestDispatchLoopAllocs(t *testing.T) {
 			p.req.K = k
 			p.req.NQ = 1
 			p.req.Coords = append(p.req.Coords[:0], coords[i*dims:(i+1)*dims]...)
+			// Stamped like the reader and the dispatch loop do, so every
+			// response is observed.
+			p.decodeStart = time.Now()
+			p.arrived = time.Now()
+			p.dequeue()
 			d.batch = append(d.batch, p)
 		}
 	}

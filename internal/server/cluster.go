@@ -311,11 +311,11 @@ func (rt *router) liveHolders(s int, out []int) []int {
 }
 
 // route answers one external request. It owns p and returns it to the pool.
-// Observation happens inside the handlers (writeNeighbors/writeError →
-// finish), while p is still alive, so the stage decomposition and trace
-// capture see the request's stamps and trail accumulators.
+// Observation happens when the handler answers (reply or Server.send),
+// while p is still alive, so the stage decomposition and trace capture see
+// the request's full ledger.
 func (rt *router) route(p *pending) {
-	p.dequeued = time.Now() // queue-wait ends: the router picked it up
+	p.dequeue()
 	switch p.req.Kind {
 	case proto.KindKNN:
 		rt.routeKNN(p)
@@ -332,11 +332,11 @@ func (rt *router) route(p *pending) {
 
 // localStage runs one request against tree — one of this rank's shard
 // slots — through the micro-batching dispatcher and returns copies of the
-// results (the dispatcher's arenas are reused) plus the dispatcher-side
-// stage breakdown (intake wait, batch assembly, engine) so the routed
-// request can attribute its owner-local time to the right stages. Returned
-// offsets are 0-based.
-func (rt *router) localStage(tree *panda.Tree, kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, stageBreakdown, error) {
+// results (the dispatcher's arenas are reused). The dispatcher's charges to
+// the internal stage (intake wait, batch assembly, engine) are added to p's
+// ledger, so the routed request carries its owner-local time in the right
+// stages. Returned offsets are 0-based.
+func (rt *router) localStage(p *pending, tree *panda.Tree, kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, error) {
 	s := rt.s
 	lp := s.getPending()
 	lp.eng = s.def // cluster ranks serve one dataset: the default tenant
@@ -350,11 +350,9 @@ func (rt *router) localStage(tree *panda.Tree, kind uint8, k, nq int, r2 float32
 	type localOut struct {
 		flat []panda.Neighbor
 		offs []int32
-		bd   stageBreakdown
 		err  error
 	}
 	ch := make(chan localOut, 1)
-	var enq time.Time
 	lp.done = func(flat []panda.Neighbor, offsets []int32, err error) {
 		out := localOut{err: err}
 		if err == nil {
@@ -364,23 +362,17 @@ func (rt *router) localStage(tree *panda.Tree, kind uint8, k, nq int, r2 float32
 				out.offs[i] = o - offsets[0] // normalize arena-absolute offsets
 			}
 		}
-		// The dispatcher stamped lp on its way through; it still owns lp
-		// here (done runs before the pending is recycled).
-		if !lp.dequeued.IsZero() {
-			out.bd.queue = lp.dequeued.Sub(enq)
-			if !lp.batched.IsZero() {
-				out.bd.linger = lp.batched.Sub(lp.dequeued)
-				if !lp.engined.IsZero() {
-					out.bd.engine = lp.engined.Sub(lp.batched)
-				}
-			}
+		// done runs before the dispatcher recycles lp, so its ledger is
+		// complete and still ours to read.
+		for i := range lp.spent {
+			p.spent[i].Add(lp.spent[i].Load())
 		}
 		ch <- out
 	}
-	enq = time.Now()
+	lp.arrived = time.Now()
 	s.intake <- lp
 	out := <-ch
-	return out.flat, out.offs, out.bd, out.err
+	return out.flat, out.offs, out.err
 }
 
 // routeKNN answers one KNN request (possibly a batch whose queries have
@@ -416,11 +408,7 @@ func (rt *router) routeKNN(p *pending) {
 		}(o, idx)
 	}
 	wg.Wait()
-	if errs.err != nil {
-		rt.writeError(p, errs.err)
-		return
-	}
-	rt.writeNeighbors(p, res)
+	rt.reply(p, res, errs.err)
 }
 
 // firstErr keeps the first error reported by concurrent legs of one
@@ -495,7 +483,7 @@ func (rt *router) serveShardGroup(p *pending, o int, coords []float32, idx []int
 		}
 		legStart := time.Now()
 		flat, offs, err := rt.peers[h].forwardShardKNN(o, packed, k, dims, p.trace)
-		p.trailExchange.Add(int64(time.Since(legStart)))
+		p.charge(proto.StageRemoteExchange, time.Since(legStart))
 		if err != nil {
 			return fmt.Errorf("forward shard %d to rank %d: %w", o, h, err)
 		}
@@ -524,8 +512,7 @@ const maxExchangeWorkers = 16
 // Query j's answer lands in res[j]; the first failure is returned.
 func (rt *router) ownedShardKNN(p *pending, tree *panda.Tree, o int, coords []float32, k int, res [][]panda.Neighbor) error {
 	dims := rt.shard.Dims()
-	lflat, loffs, bd, err := rt.localStage(tree, proto.KindKNN, k, len(res), 0, coords)
-	p.addBreakdown(bd)
+	lflat, loffs, err := rt.localStage(p, tree, proto.KindKNN, k, len(res), 0, coords)
 	if err != nil {
 		return err
 	}
@@ -566,7 +553,7 @@ func (rt *router) ownedShardKNN(p *pending, tree *panda.Tree, o int, coords []fl
 				}
 				exStart := time.Now()
 				merged, err := rt.exchange(q, k, r2, nbrs, targets, p.trace)
-				p.trailExchange.Add(int64(time.Since(exStart)))
+				p.charge(proto.StageRemoteExchange, time.Since(exStart))
 				if err != nil {
 					errs.set(err)
 					return
@@ -636,20 +623,18 @@ func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *tra
 
 // shardRadiusAt fetches shard t's points within r2 of q from its first live
 // holder: through this rank's dispatcher when it holds a copy (the leg
-// splits into queue/linger (batch assembly)/engine on p's stage trail),
-// otherwise as a peer round-trip charged to remote exchange.
+// charges queue/linger (batch assembly)/engine to p's ledger), otherwise as
+// a peer round-trip charged to remote exchange.
 func (rt *router) shardRadiusAt(p *pending, t int, q []float32, r2 float32) ([]panda.Neighbor, error) {
 	var nbrs []panda.Neighbor
 	err := rt.walkHolders(t, func(h int) (err error) {
 		if h == rt.rank {
-			var bd stageBreakdown
-			nbrs, _, bd, err = rt.localStage(rt.shardTree(t), proto.KindRadius, 0, 1, r2, q)
-			p.addBreakdown(bd)
+			nbrs, _, err = rt.localStage(p, rt.shardTree(t), proto.KindRadius, 0, 1, r2, q)
 			return err
 		}
 		legStart := time.Now()
 		nbrs, err = rt.peers[h].shardRadius(t, q, r2, p.trace)
-		p.trailExchange.Add(int64(time.Since(legStart)))
+		p.charge(proto.StageRemoteExchange, time.Since(legStart))
 		return err
 	})
 	return nbrs, err
@@ -680,13 +665,13 @@ func (rt *router) routeRadius(p *pending) {
 	total := 0
 	for ti := range targets {
 		if errs[ti] != nil {
-			rt.writeError(p, fmt.Errorf("radius on shard %d: %w", targets[ti], errs[ti]))
+			rt.reply(p, nil, fmt.Errorf("radius on shard %d: %w", targets[ti], errs[ti]))
 			return
 		}
 		total += len(outs[ti])
 	}
 	if total > proto.MaxResultNeighbors {
-		rt.writeError(p, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
+		rt.reply(p, nil, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
 			total, proto.MaxResultNeighbors))
 		return
 	}
@@ -700,7 +685,7 @@ func (rt *router) routeRadius(p *pending) {
 		}
 		return flat[a].ID < flat[b].ID
 	})
-	rt.writeNeighbors(p, [][]panda.Neighbor{flat})
+	rt.reply(p, [][]panda.Neighbor{flat}, nil)
 }
 
 // routeShardKNN answers a forwarded KindShardKNN batch: the owner pipeline
@@ -712,20 +697,16 @@ func (rt *router) routeShardKNN(p *pending) {
 	defer s.putPending(p)
 	o := p.req.Shard
 	if o >= rt.shard.Ranks() {
-		rt.writeError(p, fmt.Errorf("shard %d out of range for %d ranks", o, rt.shard.Ranks()))
+		rt.reply(p, nil, fmt.Errorf("shard %d out of range for %d ranks", o, rt.shard.Ranks()))
 		return
 	}
 	tree := rt.shardTree(o)
 	if tree == nil {
-		rt.writeError(p, fmt.Errorf("shard %d not held on rank %d", o, rt.rank))
+		rt.reply(p, nil, fmt.Errorf("shard %d not held on rank %d", o, rt.rank))
 		return
 	}
 	res := make([][]panda.Neighbor, p.req.NQ)
-	if err := rt.ownedShardKNN(p, tree, o, p.req.Coords, p.req.K, res); err != nil {
-		rt.writeError(p, err)
-		return
-	}
-	rt.writeNeighbors(p, res)
+	rt.reply(p, res, rt.ownedShardKNN(p, tree, o, p.req.Coords, p.req.K, res))
 }
 
 // routeShardLocal answers the shard-addressed single-shard kinds
@@ -737,29 +718,25 @@ func (rt *router) routeShardLocal(p *pending) {
 	defer s.putPending(p)
 	t := p.req.Shard
 	if t >= rt.shard.Ranks() {
-		rt.writeError(p, fmt.Errorf("shard %d out of range for %d ranks", t, rt.shard.Ranks()))
+		rt.reply(p, nil, fmt.Errorf("shard %d out of range for %d ranks", t, rt.shard.Ranks()))
 		return
 	}
 	tree := rt.shardTree(t)
 	if tree == nil {
-		rt.writeError(p, fmt.Errorf("shard %d not held on rank %d", t, rt.rank))
+		rt.reply(p, nil, fmt.Errorf("shard %d not held on rank %d", t, rt.rank))
 		return
 	}
 	var nbrs []panda.Neighbor
+	var err error
 	engStart := time.Now()
 	if p.req.Kind == proto.KindShardRemoteKNN {
 		nbrs = tree.KNNBoundedInto(p.req.Coords, p.req.K, p.req.R2, nil)
-	} else {
-		nbrs = tree.RadiusSearchInto(p.req.Coords, p.req.R2, nil)
-		if len(nbrs) > proto.MaxResultNeighbors {
-			p.trailEngine.Add(int64(time.Since(engStart)))
-			rt.writeError(p, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
-				len(nbrs), proto.MaxResultNeighbors))
-			return
-		}
+	} else if nbrs = tree.RadiusSearchInto(p.req.Coords, p.req.R2, nil); len(nbrs) > proto.MaxResultNeighbors {
+		err = fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
+			len(nbrs), proto.MaxResultNeighbors)
 	}
-	p.trailEngine.Add(int64(time.Since(engStart)))
-	rt.writeNeighbors(p, [][]panda.Neighbor{nbrs})
+	p.charge(proto.StageEngine, time.Since(engStart))
+	rt.reply(p, [][]panda.Neighbor{nbrs}, err)
 }
 
 // routeFetchSection serves one chunk of a held shard's snapshot file (or
@@ -769,26 +746,24 @@ func (rt *router) routeFetchSection(p *pending) {
 	s := rt.s
 	defer s.putPending(p)
 	if rt.sections == nil {
-		rt.writeError(p, fmt.Errorf("section streaming disabled: server has no snapshot directory"))
+		rt.reply(p, nil, fmt.Errorf("section streaming disabled: server has no snapshot directory"))
 		return
 	}
 	engStart := time.Now()
 	data, fileSize, crc, err := rt.sections.read(p.req.Shard, p.req.FetchOff, p.req.FetchLen, nil)
-	p.trailEngine.Add(int64(time.Since(engStart))) // disk read: the local work of this kind
+	p.charge(proto.StageEngine, time.Since(engStart)) // disk read: the local work of this kind
 	if err != nil {
-		rt.writeError(p, err)
+		rt.reply(p, nil, err)
 		return
 	}
 	s.statReplBytes.Add(int64(len(data)))
 	writeStart := time.Now()
-	buf := proto.BeginFrame(nil)
-	buf = proto.AppendSectionDataResponse(buf, p.req.ID, p.req.Shard, p.req.FetchOff, fileSize, crc, data)
+	buf := proto.AppendSectionDataResponse(proto.BeginFrame(nil), p.req.ID, p.req.Shard, p.req.FetchOff, fileSize, crc, data)
 	if err := proto.FinishFrame(buf, 0); err != nil {
-		rt.writeError(p, err)
+		rt.reply(p, nil, err)
 		return
 	}
-	rt.write(p, buf)
-	rt.finish(p, writeStart, nil)
+	s.send(p, buf, writeStart, nil)
 }
 
 // gatherCoords packs the selected queries' coordinates row-major.
@@ -800,68 +775,25 @@ func gatherCoords(coords []float32, idx []int, dims int) []float32 {
 	return out
 }
 
-// writeNeighbors assembles and writes one KindNeighbors response covering
-// the per-query lists in order, then observes the request. A traced client
-// gets the stage waterfall — this rank's decomposition plus every remote
+// reply answers a routed request with its per-query neighbor lists in
+// order, or with err when it is set, through Server.respond. A traced
+// client gets the stage waterfall — this rank's ledger plus every remote
 // span collected on the way — as a response trailer.
-func (rt *router) writeNeighbors(p *pending, res [][]panda.Neighbor) {
+func (rt *router) reply(p *pending, res [][]panda.Neighbor, err error) {
 	writeStart := time.Now()
-	total := 0
-	for _, r := range res {
-		total += len(r)
+	var offsets []int32
+	var flat []panda.Neighbor
+	if err == nil {
+		total := 0
+		for _, r := range res {
+			total += len(r)
+		}
+		offsets = make([]int32, len(res)+1)
+		flat = make([]panda.Neighbor, 0, total)
+		for i, r := range res {
+			flat = append(flat, r...)
+			offsets[i+1] = int32(len(flat))
+		}
 	}
-	offsets := make([]int32, len(res)+1)
-	flat := make([]panda.Neighbor, 0, total)
-	for i, r := range res {
-		flat = append(flat, r...)
-		offsets[i+1] = int32(len(flat))
-	}
-	buf := proto.BeginFrame(nil)
-	buf = proto.AppendNeighborsResponse(buf, p.req.ID, offsets, flat)
-	if p.trace != nil && p.req.Traced {
-		// The wire write span closes before the write itself finishes (it
-		// is inside the frame being written); the server-side ring keeps
-		// the true post-write value.
-		spans := stageSpans(nil, rt.s.rank, p.routeStages(writeStart, time.Now()))
-		spans = append(spans, p.trace.remoteSpans()...)
-		buf = proto.AppendTraceSpans(buf, p.trace.id, spans)
-	}
-	if err := proto.FinishFrame(buf, 0); err != nil {
-		rt.writeError(p, err)
-		return
-	}
-	rt.write(p, buf)
-	rt.finish(p, writeStart, nil)
-}
-
-// writeError writes one KindError response and observes the request.
-func (rt *router) writeError(p *pending, err error) {
-	writeStart := time.Now()
-	buf := proto.BeginFrame(nil)
-	buf = proto.AppendErrorResponse(buf, p.req.ID, err.Error())
-	if proto.FinishFrame(buf, 0) == nil {
-		rt.write(p, buf)
-	}
-	rt.finish(p, writeStart, err)
-}
-
-// finish is the router's observation site, after the response write and
-// before the handler returns p to the pool: end-to-end and stage
-// histograms, slow accounting, trace capture.
-func (rt *router) finish(p *pending, writeStart time.Time, err error) {
-	if p.arrived.IsZero() {
-		return
-	}
-	end := time.Now()
-	rt.s.observeRequest(p, end, p.routeStages(writeStart, end), err)
-}
-
-// write delivers one framed response; failures close the connection, like
-// the dispatcher's write path.
-func (rt *router) write(p *pending, buf []byte) {
-	rt.s.releaseAdmission(p)
-	if p.c.writeFrame(buf, rt.s.cfg.WriteTimeout) != nil {
-		rt.s.removeConn(p.c)
-		p.c.close()
-	}
+	rt.s.respond(p, nil, writeStart, offsets, flat, err)
 }

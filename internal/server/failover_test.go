@@ -310,6 +310,8 @@ func TestReplicaFailoverKillRankE2E(t *testing.T) {
 // legs — own tree and replica — must queue on its intake and run in the
 // same dispatch round, answer bit-identically to a single tree over the
 // union of the shards, and count in the rank's tenant and global queries.
+// The routed request is charged its legs' dispatcher time: queue_wait at
+// least the interval the dispatcher was held, and nonzero engine time.
 func TestFailoverLegsShareDispatchRound(t *testing.T) {
 	const (
 		dims     = 3
@@ -371,6 +373,11 @@ func TestFailoverLegsShareDispatchRound(t *testing.T) {
 		done <- answer{res, err}
 	}()
 	waitUntil(t, "both owner-local legs on the held intake", func() bool { return len(srv.intake) == 2 })
+	// Hold a while longer, well above clock noise. Each leg waits at least
+	// held: it was enqueued before heldFrom and is dequeued after release.
+	heldFrom := time.Now()
+	time.Sleep(10 * time.Millisecond)
+	held := time.Since(heldFrom)
 	release()
 	a := <-done
 	if a.err != nil {
@@ -391,6 +398,14 @@ func TestFailoverLegsShareDispatchRound(t *testing.T) {
 	}
 	if st.Failovers == 0 {
 		t.Error("no failover counted for the dead shard's queries")
+	}
+	waitObserved(t, srv, 1)
+	m := writeExposition(t, srv)
+	if got := m[`panda_stage_latency_seconds_sum{stage="queue_wait"}`]; got < held.Seconds() {
+		t.Errorf("queue_wait sum = %v s, want at least the %v the dispatcher was held", got, held)
+	}
+	if got := m[`panda_stage_latency_seconds_sum{stage="engine"}`]; got <= 0 {
+		t.Errorf("engine sum = %v s, want the legs' engine time", got)
 	}
 }
 

@@ -3,9 +3,9 @@
 // few lines of text, not worth a dependency).
 //
 // Request latency is measured from the moment the reader goroutine decodes
-// a request off the wire to the moment its response is handed to the
-// connection writer, so it includes intake queueing, micro-batch assembly,
-// engine time, and (cluster mode) forwarding and remote-candidate
+// a request off the wire to the moment the write of its response returns,
+// so it includes intake queueing, micro-batch assembly, engine time, the
+// response write, and (cluster mode) forwarding and remote-candidate
 // round-trips — the latency a client actually experiences minus the network
 // hop. Stats/ping requests are not observed: they carry no query work and
 // would only dilute the histogram the loadgen reads.
@@ -61,8 +61,10 @@ func (h *histogram) observe(d time.Duration) {
 type metrics struct {
 	// stages decomposes the end-to-end latency into the six wire stages.
 	// Every observed request observes every stage (unused stages observe
-	// zero), so each stage's count equals the end-to-end count exactly and
-	// the post-arrival stage sums reconcile with the end-to-end sum.
+	// zero), so each stage's count equals the end-to-end count exactly. On
+	// a single node the post-arrival stage sums also reconcile with the
+	// end-to-end sum; a routed request's parallel legs overlap, so its
+	// stages can sum to more than its latency.
 	stages [proto.NumStages]histogram
 
 	// Per-kind request counters (requests, not queries: a 64-query batch
@@ -75,10 +77,10 @@ type metrics struct {
 // observeRequest is the single observation site for one answered external
 // request: the per-stage histograms, the per-kind counter, slow-query
 // accounting, trace capture, and the tenant's end-to-end histogram. Every
-// stage count therefore equals the end-to-end count. end is the post-write
-// stamp; stage durations come from the caller because dispatcher and router
-// decompose differently (see pending.dispatchStages / pending.routeStages).
-func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]time.Duration, reqErr error) {
+// stage count therefore equals the end-to-end count. The response write ran
+// from writeStart to end, the post-write stamp.
+func (s *Server) observeRequest(p *pending, writeStart, end time.Time, reqErr error) {
+	st := p.stages(writeStart, end)
 	e2e := end.Sub(p.arrived)
 	for i := range st {
 		s.metrics.stages[i].observe(st[i])
@@ -152,8 +154,9 @@ func (s *Server) WriteMetrics(out io.Writer) {
 
 	// Stage decomposition of the histogram above. Every request observes
 	// every stage (zero for stages it did not use), so each stage's _count
-	// equals the end-to-end _count, and the _sum over the post-arrival
-	// stages (all but "decode") reconciles with the end-to-end _sum.
+	// equals the end-to-end _count; on a single node the _sum over the
+	// post-arrival stages (all but "decode") reconciles with the end-to-end
+	// _sum.
 	w.head("panda_stage_latency_seconds", "Per-stage decomposition of request latency (every request observes every stage; unused stages observe zero).", "histogram")
 	for si := range m.stages {
 		w.histogram("panda_stage_latency_seconds", `stage="`+proto.StageName(uint8(si))+`"`, &m.stages[si])

@@ -27,6 +27,18 @@
 // buffers are all recycled, so the steady-state dispatch loop performs zero
 // allocations per query.
 //
+// # One reply path
+//
+// The reader answers stats, pings and refusals itself (conn.writeAnswer).
+// Every other response, from the dispatcher or the cluster router, is
+// encoded by Server.respond and leaves through Server.send, which releases
+// admission, writes, closes a failed connection, and observes the request.
+// Each request carries one stage ledger (pending.spent): whoever dequeues
+// it charges queue wait, the dispatcher charges linger and engine, router
+// legs charge remote exchange, and an owner-local leg's ledger is added to
+// the request that spawned it. At observation the ledger plus decode and
+// response write gives the six stages of the metrics and traces.
+//
 // # Batching semantics
 //
 // Requests are answered exactly once, in no guaranteed order relative to
@@ -85,20 +97,8 @@ var ErrServerClosed = errors.New("server: closed")
 type Config struct {
 	// MaxBatch is the most queries the dispatcher coalesces into one
 	// engine call (default 64). A single oversize batch request still runs
-	// whole.
+	// whole. The intake queue holds 4×MaxBatch requests.
 	MaxBatch int
-	// WriteTimeout bounds each response write (default 2s). The single
-	// dispatcher writes responses synchronously, so a client that stops
-	// draining its socket head-of-line blocks other responses for up to
-	// one WriteTimeout; after that the connection is closed and costs
-	// nothing further. (Per-connection writer queues would remove the
-	// one-timeout stall; they are future work.)
-	WriteTimeout time.Duration
-	// IntakeDepth is the intake queue capacity in requests (default
-	// 4×MaxBatch).
-	IntakeDepth int
-	// HandshakeTimeout bounds the initial hello exchange (default 10s).
-	HandshakeTimeout time.Duration
 	// MaxInFlight, when > 0, enables admission control: the server bounds
 	// admitted-but-unanswered query work to this many queries (a batch
 	// request weighs its NQ). A request arriving over the limit is refused
@@ -123,17 +123,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Second
-	}
-	if c.IntakeDepth <= 0 {
-		c.IntakeDepth = 4 * c.MaxBatch
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
 	return c
 }
+
+const (
+	// writeTimeout bounds each response write. The single dispatcher writes
+	// responses synchronously, so a client that stops draining its socket
+	// head-of-line blocks other responses for up to one writeTimeout; after
+	// that the connection is closed and costs nothing further.
+	// (Per-connection writer queues would remove the one-timeout stall;
+	// they are future work.)
+	writeTimeout = 2 * time.Second
+	// handshakeTimeout bounds the initial hello exchange.
+	handshakeTimeout = 10 * time.Second
+)
 
 // server lifecycle states.
 const (
@@ -265,7 +268,7 @@ func NewMulti(reg *Registry, cfg Config) (*Server, error) {
 		reg:            reg,
 		def:            reg.defaultEngine(),
 		cfg:            cfg,
-		intake:         make(chan *pending, cfg.IntakeDepth),
+		intake:         make(chan *pending, 4*cfg.MaxBatch),
 		conns:          map[*conn]struct{}{},
 		dispatcherDone: make(chan struct{}),
 		rank:           -1,
@@ -498,22 +501,29 @@ func (c *conn) close() {
 	c.nc.Close()
 }
 
-// writeFrame writes one already-framed buffer (length prefix included).
-// Errors mark the connection dead; the dispatcher keeps going.
-func (c *conn) writeFrame(buf []byte, timeout time.Duration) error {
+// writeFrame writes one already-framed buffer (length prefix included)
+// under writeTimeout. Errors mark the connection dead; the dispatcher keeps
+// going.
+func (c *conn) writeFrame(buf []byte) error {
 	if c.dead.Load() {
 		return net.ErrClosed
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if timeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(timeout))
-	}
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.nc.Write(buf)
 	if err != nil {
 		c.dead.Store(true)
 	}
 	return err
+}
+
+// writeAnswer finishes and writes one of the reader's own answers (stats,
+// pong, or a refusal). Their bodies are small and error messages are capped
+// by proto, so the frame always fits.
+func (c *conn) writeAnswer(frame []byte) {
+	_ = proto.FinishFrame(frame, 0)
+	c.writeFrame(frame)
 }
 
 // pending is one request waiting for dispatch. Its request struct (and the
@@ -533,34 +543,26 @@ type pending struct {
 	// (tree, k).
 	eng  *engine
 	tree *panda.Tree
-	// arrived is when the reader decoded the request off the wire (zero for
-	// internal router stages); the latency histograms observe it when the
-	// response is written.
-	arrived time.Time
+	// arrived is when the reader decoded the request off the wire (for an
+	// internal router stage, when the router enqueued it): queue wait and
+	// end-to-end latency run from here. decodeStart is when the reader had
+	// the frame in hand, so decode ends at arrived. dequeued is when the
+	// dispatcher or the router took the request up; linger runs from there.
+	arrived     time.Time
+	decodeStart time.Time
+	dequeued    time.Time
 	// admitted is the query weight this request holds against the server's
 	// in-flight admission limit (0 when admission control is off or the
 	// request is exempt); released by releaseAdmission.
 	admitted int64
 
-	// Stage boundary stamps (see proto.StageNames), one time.Now() each:
-	// decodeStart is when the reader had the frame in hand (decode ends at
-	// arrived), dequeued when the dispatcher pulled the request off the
-	// intake (or the router picked it up), batched when its micro-batch
-	// closed, engined when its engine call returned. Unused stamps stay zero
-	// and clamp to the previous boundary at observation.
-	decodeStart time.Time
-	dequeued    time.Time
-	batched     time.Time
-	engined     time.Time
-
-	// Router stage accumulators, nanoseconds (cluster path only): the route
-	// legs charge owner-local dispatcher time (queue/linger/engine) and peer
-	// round-trips (exchange) here, concurrently for parallel legs of a
-	// batch. Zero on the dispatcher path.
-	trailQueue    atomic.Int64
-	trailLinger   atomic.Int64
-	trailEngine   atomic.Int64
-	trailExchange atomic.Int64
+	// spent is the request's stage ledger, nanoseconds per proto stage.
+	// Whoever dequeues the request charges its queue wait, the dispatcher
+	// charges linger and engine, router legs charge remote exchange (and
+	// engine for work they do themselves), and an owner-local leg's ledger
+	// is added in when its internal stage answers. Parallel legs of one
+	// request charge concurrently. stages adds decode and response write.
+	spent [proto.NumStages]atomic.Int64
 
 	// trace is non-nil when this request is traced (client-requested or
 	// server-sampled): it carries the trace id onto peer calls and collects
@@ -568,66 +570,33 @@ type pending struct {
 	trace *traceCtx
 }
 
-// dispatchStages decomposes a dispatcher-path request into the six stage
-// durations from its boundary stamps. Zero clamps cover error paths that
-// skipped a stamp (the stage reads as zero rather than garbage); on the
-// normal path the stamps are monotone and the post-arrival stages sum
-// exactly to end−arrived, which is what reconciles the stage histograms
-// with the end-to-end one.
-func (p *pending) dispatchStages(end time.Time) [proto.NumStages]time.Duration {
-	var st [proto.NumStages]time.Duration
-	dec, deq, bat, eng := p.decodeStart, p.dequeued, p.batched, p.engined
-	if dec.IsZero() {
-		dec = p.arrived
-	}
-	if deq.IsZero() {
-		deq = p.arrived
-	}
-	if bat.IsZero() {
-		bat = deq
-	}
-	if eng.IsZero() {
-		eng = bat
-	}
-	st[proto.StageDecode] = p.arrived.Sub(dec)
-	st[proto.StageQueueWait] = deq.Sub(p.arrived)
-	st[proto.StageLinger] = bat.Sub(deq)
-	st[proto.StageEngine] = eng.Sub(bat)
-	st[proto.StageResponseWrite] = end.Sub(eng)
-	return st
+// charge adds d to the ledger entry of stage.
+func (p *pending) charge(stage uint8, d time.Duration) {
+	p.spent[stage].Add(int64(d))
 }
 
-// routeStages decomposes a router-path request: queue-wait spans arrival to
-// route pickup plus any owner-local intake wait the legs charged;
-// linger/engine/exchange come from the trail accumulators (per-leg
-// attribution — parallel legs of a multi-query batch overlap in wall time).
-func (p *pending) routeStages(writeStart, end time.Time) [proto.NumStages]time.Duration {
+// dequeue stamps p as taken up by the dispatcher or the router and charges
+// its queue wait.
+func (p *pending) dequeue() {
+	p.dequeued = time.Now()
+	p.charge(proto.StageQueueWait, p.dequeued.Sub(p.arrived))
+}
+
+// stages is the request's six stage durations at observation: the ledger
+// plus decode and response write (writeStart to end). On the dispatcher
+// path the charged stages run back to back from arrived to writeStart, so
+// the post-arrival stages sum exactly to end−arrived, which is what
+// reconciles the stage histograms with the end-to-end one. A routed
+// request's ledger sums its legs, which overlap in time when they run in
+// parallel.
+func (p *pending) stages(writeStart, end time.Time) [proto.NumStages]time.Duration {
 	var st [proto.NumStages]time.Duration
-	dec, deq := p.decodeStart, p.dequeued
-	if dec.IsZero() {
-		dec = p.arrived
+	for i := range st {
+		st[i] = time.Duration(p.spent[i].Load())
 	}
-	if deq.IsZero() {
-		deq = p.arrived
-	}
-	st[proto.StageDecode] = p.arrived.Sub(dec)
-	st[proto.StageQueueWait] = deq.Sub(p.arrived) + time.Duration(p.trailQueue.Load())
-	st[proto.StageLinger] = time.Duration(p.trailLinger.Load())
-	st[proto.StageEngine] = time.Duration(p.trailEngine.Load())
-	st[proto.StageRemoteExchange] = time.Duration(p.trailExchange.Load())
+	st[proto.StageDecode] = p.arrived.Sub(p.decodeStart)
 	st[proto.StageResponseWrite] = end.Sub(writeStart)
 	return st
-}
-
-// stageBreakdown is the owner-local dispatcher time of one routed leg,
-// reported by localStage's done hook and charged onto the originating
-// request's trail accumulators.
-type stageBreakdown struct{ queue, linger, engine time.Duration }
-
-func (p *pending) addBreakdown(bd stageBreakdown) {
-	p.trailQueue.Add(int64(bd.queue))
-	p.trailLinger.Add(int64(bd.linger))
-	p.trailEngine.Add(int64(bd.engine))
 }
 
 func (s *Server) getPending() *pending {
@@ -637,9 +606,9 @@ func (s *Server) getPending() *pending {
 	return &pending{}
 }
 
-// releaseAdmission returns p's weight to the admission limit. Response
-// writers call it before the bytes leave, so a client holding its answer is
-// never shed by its own finished request; putPending covers the rest.
+// releaseAdmission returns p's weight to the admission limit. send calls it
+// before the bytes leave, so a client holding its answer is never shed by
+// its own finished request; putPending covers the rest.
 func (s *Server) releaseAdmission(p *pending) {
 	if p.admitted > 0 {
 		s.inflight.Add(-p.admitted)
@@ -656,14 +625,29 @@ func (s *Server) putPending(p *pending) {
 	p.arrived = time.Time{}
 	p.decodeStart = time.Time{}
 	p.dequeued = time.Time{}
-	p.batched = time.Time{}
-	p.engined = time.Time{}
-	p.trailQueue.Store(0)
-	p.trailLinger.Store(0)
-	p.trailEngine.Store(0)
-	p.trailExchange.Store(0)
+	for i := range p.spent {
+		p.spent[i].Store(0)
+	}
 	p.trace = nil
 	s.pendingPool.Put(p)
+}
+
+// admit charges p's query weight against Config.MaxInFlight and reports
+// whether p may proceed; a refused request counts as shed on its tenant.
+// Section fetches are exempt: replication repair must not be starved by
+// query overload.
+func (s *Server) admit(p *pending) bool {
+	if s.cfg.MaxInFlight <= 0 || p.req.Kind == proto.KindFetchSection {
+		return true
+	}
+	weight := max(int64(p.req.NQ), 1)
+	if s.inflight.Add(weight) > int64(s.cfg.MaxInFlight) {
+		s.inflight.Add(-weight)
+		p.eng.shed.Add(1)
+		return false
+	}
+	p.admitted = weight
+	return true
 }
 
 // serveConn is the per-connection reader: handshake, then decode frames and
@@ -671,7 +655,7 @@ func (s *Server) putPending(p *pending) {
 func (s *Server) serveConn(c *conn) {
 	defer s.readers.Done()
 
-	c.nc.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	hello, err := proto.ReadHello(c.nc)
 	if err != nil {
 		s.removeConn(c)
@@ -687,12 +671,12 @@ func (s *Server) serveConn(c *conn) {
 		// then close. A v3 client surfaces ErrUnknownDataset naming it; a
 		// client of another version reads "server speaks version 3" from the
 		// first 20 bytes before any tree metadata.
-		c.writeFrameless(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}), s.cfg.WriteTimeout)
+		c.writeFrame(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}))
 		s.removeConn(c)
 		c.close()
 		return
 	}
-	if c.writeFrameless(proto.AppendWelcome(nil, c.eng.id), s.cfg.WriteTimeout) != nil {
+	if c.writeFrame(proto.AppendWelcome(nil, c.eng.id)) != nil {
 		s.removeConn(c)
 		c.close()
 		return
@@ -701,7 +685,7 @@ func (s *Server) serveConn(c *conn) {
 	dims := c.eng.id.Dims
 
 	var buf []byte
-	var errBuf []byte
+	var ansBuf []byte
 	for {
 		payload, rerr := proto.ReadFrame(c.nc, buf)
 		if rerr != nil {
@@ -715,11 +699,8 @@ func (s *Server) serveConn(c *conn) {
 			// Answer with the reason when the request id survived.
 			if len(payload) >= 9 {
 				id := binary.LittleEndian.Uint64(payload[1:9])
-				errBuf = proto.BeginFrame(errBuf[:0])
-				errBuf = proto.AppendErrorResponse(errBuf, id, derr.Error())
-				if proto.FinishFrame(errBuf, 0) == nil {
-					c.writeFrame(errBuf, s.cfg.WriteTimeout)
-				}
+				ansBuf = proto.AppendErrorResponse(proto.BeginFrame(ansBuf[:0]), id, derr.Error())
+				c.writeAnswer(ansBuf)
 			}
 			// Semantic violations leave the stream correctly framed: keep
 			// serving the connection. Structural failures mean we can no
@@ -731,16 +712,20 @@ func (s *Server) serveConn(c *conn) {
 		}
 		p.c = c
 		p.eng = c.eng
-		// Stats and ping requests are answered immediately from the reader
-		// (they carry no query work, so routing them through the dispatcher
-		// would only skew the batching counters they report — and a ping
-		// must measure reader liveness, not dispatcher queue depth).
-		if p.req.Kind == proto.KindStats {
+		// The reader answers some requests itself. Stats and pings carry no
+		// query work, so routing them through the dispatcher would only skew
+		// the batching counters they report — and a ping must measure reader
+		// liveness, not dispatcher queue depth. Shard-addressed and
+		// section-streaming kinds only make sense on a cluster rank; a
+		// single-node server refuses them without feeding them to the
+		// dispatcher (which would misread them as plain KNN). Query work over
+		// the admission limit is refused with a clean overload error — the
+		// connection stays usable and the client can retry after backoff.
+		var answer []byte
+		switch {
+		case p.req.Kind == proto.KindStats:
 			st := s.Stats()
-			id := p.req.ID
-			s.putPending(p)
-			errBuf = proto.BeginFrame(errBuf[:0])
-			errBuf = proto.AppendStatsResponse(errBuf, id, proto.StatsBody{
+			answer = proto.AppendStatsResponse(proto.BeginFrame(ansBuf[:0]), p.req.ID, proto.StatsBody{
 				Queries:          uint64(st.Queries),
 				Batches:          uint64(st.Batches),
 				ActiveConns:      uint32(st.ActiveConns),
@@ -750,58 +735,18 @@ func (s *Server) serveConn(c *conn) {
 				ReplicationBytes: uint64(st.ReplicationBytes),
 				Shed:             uint64(st.Shed),
 			})
-			if proto.FinishFrame(errBuf, 0) == nil {
-				c.writeFrame(errBuf, s.cfg.WriteTimeout)
-			}
-			continue
+		case p.req.Kind == proto.KindPing:
+			answer = proto.AppendPongResponse(proto.BeginFrame(ansBuf[:0]), p.req.ID)
+		case s.cluster == nil && clusterOnlyKind(p.req.Kind):
+			answer = proto.AppendErrorResponse(proto.BeginFrame(ansBuf[:0]), p.req.ID, "server: request kind requires cluster mode")
+		case !s.admit(p):
+			answer = proto.AppendOverloadedResponse(proto.BeginFrame(ansBuf[:0]), p.req.ID)
 		}
-		if p.req.Kind == proto.KindPing {
-			id := p.req.ID
+		if answer != nil {
+			ansBuf = answer
 			s.putPending(p)
-			errBuf = proto.BeginFrame(errBuf[:0])
-			errBuf = proto.AppendPongResponse(errBuf, id)
-			if proto.FinishFrame(errBuf, 0) == nil {
-				c.writeFrame(errBuf, s.cfg.WriteTimeout)
-			}
+			c.writeAnswer(answer)
 			continue
-		}
-		// Shard-addressed and section-streaming kinds only make sense on a
-		// cluster rank; a single-node server refuses them without feeding
-		// them to the dispatcher (which would misread them as plain KNN).
-		if s.cluster == nil && clusterOnlyKind(p.req.Kind) {
-			id := p.req.ID
-			s.putPending(p)
-			errBuf = proto.BeginFrame(errBuf[:0])
-			errBuf = proto.AppendErrorResponse(errBuf, id, "server: request kind requires cluster mode")
-			if proto.FinishFrame(errBuf, 0) == nil {
-				c.writeFrame(errBuf, s.cfg.WriteTimeout)
-			}
-			continue
-		}
-		// Admission control: query work (KNN, radius, and their
-		// shard-addressed forms) is admitted against the in-flight limit; a
-		// request over the limit is refused right here with a clean
-		// overload error — the connection stays usable and the client can
-		// retry after backoff. Section fetches are exempt: replication
-		// repair must not be starved by query overload.
-		if s.cfg.MaxInFlight > 0 && p.req.Kind != proto.KindFetchSection {
-			weight := int64(p.req.NQ)
-			if weight < 1 {
-				weight = 1
-			}
-			if s.inflight.Add(weight) > int64(s.cfg.MaxInFlight) {
-				s.inflight.Add(-weight)
-				c.eng.shed.Add(1)
-				id := p.req.ID
-				s.putPending(p)
-				errBuf = proto.BeginFrame(errBuf[:0])
-				errBuf = proto.AppendOverloadedResponse(errBuf, id)
-				if proto.FinishFrame(errBuf, 0) == nil {
-					c.writeFrame(errBuf, s.cfg.WriteTimeout)
-				}
-				continue
-			}
-			p.admitted = weight
 		}
 		p.decodeStart = decoded
 		p.arrived = time.Now()
@@ -823,7 +768,7 @@ func (s *Server) serveConn(c *conn) {
 		// never wait behind.
 		if s.cluster != nil {
 			if c.routeSem == nil {
-				c.routeSem = make(chan struct{}, s.cfg.IntakeDepth)
+				c.routeSem = make(chan struct{}, cap(s.intake))
 			}
 			c.routeSem <- struct{}{} // backpressure: bounds in-flight routes
 			s.routes.Add(1)
@@ -845,11 +790,6 @@ func (s *Server) serveConn(c *conn) {
 	}
 }
 
-// writeFrameless writes raw bytes (the handshake, which is not framed).
-func (c *conn) writeFrameless(buf []byte, timeout time.Duration) error {
-	return c.writeFrame(buf, timeout)
-}
-
 // clusterOnlyKind reports whether kind is meaningful only on a cluster
 // rank: shard-addressed queries (failover routing) and snapshot section
 // streaming (re-replication and joins).
@@ -859,6 +799,54 @@ func clusterOnlyKind(kind byte) bool {
 		return true
 	}
 	return false
+}
+
+// respond answers p: through its done hook when p is an internal router
+// stage, otherwise with a KindNeighbors frame — carrying the stage
+// waterfall as a trailer when the client asked for a trace — or, when err
+// is set or the answer does not fit a frame, a KindError frame, handed to
+// send. writeStart is where the response-write stage begins. offsets may be
+// absolute into a larger arena; only differences matter — flat[0]
+// corresponds to offsets[0]. buf is reusable encode space; respond returns
+// it grown.
+func (s *Server) respond(p *pending, buf []byte, writeStart time.Time, offsets []int32, flat []panda.Neighbor, err error) []byte {
+	if p.done != nil {
+		p.done(flat, offsets, err)
+		return buf
+	}
+	if err == nil {
+		buf = proto.AppendNeighborsResponse(proto.BeginFrame(buf[:0]), p.req.ID, offsets, flat)
+		if p.trace != nil && p.req.Traced {
+			// The wire's write span closes before the write itself finishes
+			// (it is inside the frame being written); the trace ring keeps
+			// the true post-write value.
+			spans := stageSpans(nil, s.rank, p.stages(writeStart, time.Now()))
+			buf = proto.AppendTraceSpans(buf, p.trace.id, append(spans, p.trace.remoteSpans()...))
+		}
+		err = proto.FinishFrame(buf, 0)
+	}
+	if err != nil {
+		buf = proto.AppendErrorResponse(proto.BeginFrame(buf[:0]), p.req.ID, err.Error())
+		_ = proto.FinishFrame(buf, 0) // proto caps error messages far below MaxFrame
+	}
+	s.send(p, buf, writeStart, err)
+	return buf
+}
+
+// send writes p's response frame and observes the request: every
+// dispatched or routed response leaves through here. A failed write
+// (stalled or vanished client) closes the connection, which also unblocks
+// its reader — the connection pays at most one writeTimeout before every
+// later response to it is skipped via the dead flag. Observation follows
+// the write, so the response-write stage ends at the stamp that ends the
+// end-to-end latency.
+func (s *Server) send(p *pending, frame []byte, writeStart time.Time, err error) {
+	s.releaseAdmission(p)
+	if p.c.writeFrame(frame) != nil {
+		s.removeConn(p.c)
+		p.c.close()
+	}
+	s.observeRequest(p, writeStart, time.Now(), err)
 }
 
 // dispatcher holds the dispatch loop's recycled buffers.
@@ -876,8 +864,6 @@ type dispatcher struct {
 	offs2  []int32
 	// response frame encode buffer
 	wbuf []byte
-	// span staging for traced responses
-	spans []proto.TraceSpan
 }
 
 func newDispatcher(s *Server) *dispatcher {
@@ -900,22 +886,18 @@ func (s *Server) dispatch() {
 		if !ok {
 			return
 		}
-		p.dequeued = time.Now()
-		d.batch = append(d.batch[:0], p)
-		total := p.req.NQ
-		// Grab everything already queued without blocking.
-	drain:
-		for total < s.cfg.MaxBatch {
+		// Take p, then whatever else is already queued, without blocking.
+		d.batch = d.batch[:0]
+		for total := 0; ok; {
+			p.dequeue()
+			d.batch = append(d.batch, p)
+			if total += p.req.NQ; total >= s.cfg.MaxBatch {
+				break
+			}
 			select {
-			case p2, ok2 := <-s.intake:
-				if !ok2 {
-					break drain
-				}
-				p2.dequeued = time.Now()
-				d.batch = append(d.batch, p2)
-				total += p2.req.NQ
+			case p, ok = <-s.intake:
 			default:
-				break drain
+				ok = false
 			}
 		}
 		d.process()
@@ -929,11 +911,9 @@ func (s *Server) dispatch() {
 func (d *dispatcher) process() {
 	s := d.s
 	n := len(d.batch)
-	nq := 0
 	closed := time.Now() // the micro-batch is closed: linger ends here
 	for _, p := range d.batch {
-		p.batched = closed
-		nq += p.req.NQ
+		p.charge(proto.StageLinger, closed.Sub(p.dequeued))
 		p.eng.queries.Add(int64(p.req.NQ))
 	}
 	s.statBatches.Add(1)
@@ -953,17 +933,18 @@ func (d *dispatcher) process() {
 		if p.req.Kind == proto.KindRadius {
 			d.done[i] = true
 			d.radius = p.tree.RadiusSearchInto(p.req.Coords, p.req.R2, d.radius[:0])
-			p.engined = time.Now()
+			engined := time.Now()
+			p.charge(proto.StageEngine, engined.Sub(closed))
 			if len(d.radius) > proto.MaxResultNeighbors {
 				// Refuse before encoding: a dense-enough ball would
 				// otherwise build a response buffer beyond the frame cap.
-				d.respondError(p, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
+				d.wbuf = s.respond(p, d.wbuf, engined, nil, nil, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
 					len(d.radius), proto.MaxResultNeighbors))
 				continue
 			}
 			d.offs2[0] = 0
 			d.offs2[1] = int32(len(d.radius))
-			d.respondNeighbors(p, d.offs2, d.radius)
+			d.wbuf = s.respond(p, d.wbuf, engined, d.offs2, d.radius, nil)
 			continue
 		}
 		// Gather every not-yet-answered KNN request for the same tree with
@@ -983,13 +964,13 @@ func (d *dispatcher) process() {
 			d.coords = append(d.coords, q.req.Coords...)
 		}
 		flat, offsets, err := p.tree.KNNBatchFlatInto(d.coords, k, d.flat, d.offsets)
-		groupDone := time.Now()
+		engined := time.Now()
 		for _, q := range d.group {
-			q.engined = groupDone
+			q.charge(proto.StageEngine, engined.Sub(closed))
 		}
 		if err != nil {
 			for _, q := range d.group {
-				d.respondError(q, err)
+				d.wbuf = s.respond(q, d.wbuf, engined, nil, nil, err)
 			}
 			continue
 		}
@@ -999,75 +980,11 @@ func (d *dispatcher) process() {
 		for _, q := range d.group {
 			nq := q.req.NQ
 			segOff := offsets[qpos : qpos+nq+1]
-			d.respondNeighbors(q, segOff, flat[segOff[0]:segOff[nq]])
+			d.wbuf = s.respond(q, d.wbuf, engined, segOff, flat[segOff[0]:segOff[nq]], nil)
 			qpos += nq
 		}
 	}
 	for _, p := range d.batch {
 		s.putPending(p)
-	}
-}
-
-// respondNeighbors encodes and writes one KindNeighbors response (or hands
-// the results to an internal stage's done hook). Offsets may be absolute
-// into a larger arena; only differences matter — flat[0] corresponds to
-// offsets[0].
-func (d *dispatcher) respondNeighbors(p *pending, offsets []int32, flat []panda.Neighbor) {
-	if p.done != nil {
-		p.done(flat, offsets, nil)
-		return
-	}
-	d.wbuf = proto.BeginFrame(d.wbuf[:0])
-	d.wbuf = proto.AppendNeighborsResponse(d.wbuf, p.req.ID, offsets, flat)
-	if p.trace != nil && p.req.Traced {
-		// The client asked for the waterfall: attach this rank's stage
-		// spans inside the response. The write span necessarily closes
-		// before the write itself finishes, so on the wire it covers the
-		// encode only; the server-side ring keeps the true post-write
-		// value.
-		d.spans = stageSpans(d.spans[:0], d.s.rank, p.dispatchStages(time.Now()))
-		d.wbuf = proto.AppendTraceSpans(d.wbuf, p.trace.id, d.spans)
-	}
-	if err := proto.FinishFrame(d.wbuf, 0); err != nil {
-		d.respondError(p, err)
-		return
-	}
-	d.write(p, d.wbuf)
-	// Observation sits after the write so the response-write stage is
-	// measured by the same stamp that ends the end-to-end latency — the
-	// stage sums reconcile with the histogram exactly.
-	if !p.arrived.IsZero() {
-		end := time.Now()
-		d.s.observeRequest(p, end, p.dispatchStages(end), nil)
-	}
-}
-
-// respondError encodes and writes one KindError response (or fails the
-// internal stage's done hook).
-func (d *dispatcher) respondError(p *pending, err error) {
-	if p.done != nil {
-		p.done(nil, nil, err)
-		return
-	}
-	d.wbuf = proto.BeginFrame(d.wbuf[:0])
-	d.wbuf = proto.AppendErrorResponse(d.wbuf, p.req.ID, err.Error())
-	if proto.FinishFrame(d.wbuf, 0) == nil {
-		d.write(p, d.wbuf)
-	}
-	if !p.arrived.IsZero() {
-		end := time.Now()
-		d.s.observeRequest(p, end, p.dispatchStages(end), err)
-	}
-}
-
-// write delivers one framed response. A failed write (stalled or vanished
-// client) closes the connection, which also unblocks its reader — the
-// connection pays at most one WriteTimeout before every later response to
-// it is skipped via the dead flag.
-func (d *dispatcher) write(p *pending, buf []byte) {
-	d.s.releaseAdmission(p)
-	if p.c.writeFrame(buf, d.s.cfg.WriteTimeout) != nil {
-		d.s.removeConn(p.c)
-		p.c.close()
 	}
 }

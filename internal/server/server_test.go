@@ -84,6 +84,13 @@ func serveLoopback(t testing.TB, srv *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, srv, ln)
+}
+
+// serveOn serves srv on ln and returns its address; a test cleanup shuts
+// it down.
+func serveOn(t testing.TB, srv *Server, ln net.Listener) string {
+	t.Helper()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	t.Cleanup(func() {

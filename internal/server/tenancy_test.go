@@ -390,6 +390,9 @@ func TestPerTenantMetricsSumToGlobals(t *testing.T) {
 		t.Fatalf("beta batch err = %v, want overload", err)
 	}
 
+	// The server observes each answered query just after writing it: wait
+	// for all 50 before scraping.
+	waitObserved(t, srv, 50)
 	var buf bytes.Buffer
 	srv.WriteMetrics(&buf)
 	m := parseExposition(t, buf.String())

@@ -6,9 +6,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -141,6 +143,128 @@ func TestStageMetricsReconcileCluster(t *testing.T) {
 
 	for r, srv := range tc.servers {
 		checkStageCounts(t, writeExposition(t, srv), fmt.Sprintf("rank %d", r))
+	}
+}
+
+// tapListener records every byte the server reads from the connections it
+// accepts, so a test can decode what a client actually sent.
+type tapListener struct {
+	net.Listener
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: nc, l: l}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	l *tapListener
+}
+
+func (c *tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.l.mu.Lock()
+	c.l.buf.Write(b[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestTracedSingleNodeQuery sends traced KNN queries to a single-node
+// server and checks the waterfall the dispatcher returns: answers
+// bit-identical to the tree, exactly the six stages recorded under rank -1
+// and tiling contiguously from the arrival stamp, no remote exchange,
+// post-arrival stages within the client-measured latency, and each trace
+// captured in the ring under the id its request carried.
+func TestTracedSingleNodeQuery(t *testing.T) {
+	const dims, queries, k = 3, 16, 5
+	tree, coords := testTree(t, 3000, dims)
+	srv := New(tree, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapListener{Listener: ln}
+	c, err := panda.Dial(serveOn(t, srv, tap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < queries; i++ {
+		q := coords[i*dims : (i+1)*dims]
+		start := time.Now()
+		nbrs, spans, err := c.KNNTraced(q, k)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameNeighbors(nbrs, tree.KNN(q, k)) {
+			t.Fatalf("query %d: traced KNN answer differs from the tree", i)
+		}
+		if len(spans) != nStages {
+			t.Fatalf("query %d: got %d spans, want %d", i, len(spans), nStages)
+		}
+		var post int64
+		for si, sp := range spans {
+			if sp.Rank != -1 {
+				t.Fatalf("query %d span %d: rank %d, want -1", i, si, sp.Rank)
+			}
+			if want := proto.StageName(uint8(si)); sp.Stage != want {
+				t.Fatalf("query %d span %d: stage %q, want %q", i, si, sp.Stage, want)
+			}
+			if si == 0 {
+				if sp.Start != -sp.Dur {
+					t.Errorf("query %d: decode span starts at %d, want -dur %d", i, sp.Start, -sp.Dur)
+				}
+				continue
+			}
+			if sp.Start != post {
+				t.Errorf("query %d span %s: starts at %d, want %d", i, sp.Stage, sp.Start, post)
+			}
+			if sp.Stage == "remote_exchange" && sp.Dur != 0 {
+				t.Errorf("query %d: single-node remote_exchange = %d ns, want 0", i, sp.Dur)
+			}
+			post += sp.Dur
+		}
+		if time.Duration(post) > elapsed {
+			t.Errorf("query %d: post-arrival stages sum to %v, above the client-measured %v", i, time.Duration(post), elapsed)
+		}
+	}
+
+	// Decode the trace ids the requests carried off the tapped wire: the
+	// hello, then one KNN frame per query.
+	waitObserved(t, srv, queries)
+	tap.mu.Lock()
+	r := bytes.NewReader(tap.buf.Bytes())
+	tap.mu.Unlock()
+	if _, err := proto.ReadHello(r); err != nil {
+		t.Fatal(err)
+	}
+	captured := map[uint64]bool{}
+	for _, tr := range srv.Traces() {
+		captured[tr.ID] = true
+	}
+	var req proto.Request
+	for i := 0; i < queries; i++ {
+		payload, err := proto.ReadFrame(r, nil)
+		if err != nil {
+			t.Fatalf("tapped request %d: %v", i, err)
+		}
+		if err := proto.ConsumeRequest(payload, dims, &req); err != nil {
+			t.Fatalf("tapped request %d: %v", i, err)
+		}
+		if !req.Traced || req.TraceID == 0 {
+			t.Fatalf("tapped request %d carries no trace id", i)
+		}
+		if !captured[req.TraceID] {
+			t.Errorf("request %d: trace id %x not in the trace ring", i, req.TraceID)
+		}
 	}
 }
 

@@ -65,6 +65,12 @@ func treeFromSnapshot(snap *snapshot.Snapshot) (*Tree, error) {
 		return nil, fmt.Errorf("panda: snapshot is rank %d of a %d-rank cluster (%d total points); open it with OpenClusterSnapshot or panda-serve -cluster -snapshot",
 			c.Rank, c.Ranks, c.TotalPoints)
 	}
+	return wrapSnapshotTree(snap)
+}
+
+// wrapSnapshotTree reconstructs snap's kd-tree and wraps it as a Tree that
+// runs at the stored build thread count and releases snap on Close.
+func wrapSnapshotTree(snap *snapshot.Snapshot) (*Tree, error) {
 	kt, err := kdtree.FromRaw(snap.Raw)
 	if err != nil {
 		return nil, err
@@ -232,27 +238,34 @@ func (t *DistTree) WriteSnapshotReplicated(dir string, replication int) error {
 // RanksWithin, LocalTree, server.NewCluster); the SPMD Query collective is
 // unavailable and returns an error. Call Close to release the mapping.
 func OpenClusterSnapshot(dir string, rank int) (*DistTree, error) {
+	dt, _, err := openClusterRank(dir, rank)
+	return dt, err
+}
+
+// openClusterRank reads and validates dir's manifest, then opens rank's own
+// shard file as a serving DistTree checked against it.
+func openClusterRank(dir string, rank int) (*DistTree, *clusterManifest, error) {
 	mb, err := os.ReadFile(snapshot.ManifestFile(dir))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := parseClusterManifest(mb)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rank < 0 || rank >= m.Ranks {
-		return nil, fmt.Errorf("panda: rank %d out of range for %d-rank snapshot", rank, m.Ranks)
+		return nil, nil, fmt.Errorf("panda: rank %d out of range for %d-rank snapshot", rank, m.Ranks)
 	}
 	snap, err := snapshot.Open(snapshot.ShardFile(dir, rank))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dt, err := distTreeFromSnapshot(snap, rank, m)
 	if err != nil {
 		snap.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return dt, nil
+	return dt, m, nil
 }
 
 // ClusterSnapshot is a rank's replication-aware view of a cluster snapshot
@@ -277,24 +290,8 @@ type ClusterSnapshot struct {
 // missing replica file is not an error; it is reported in Missing for the
 // server to fetch.
 func OpenClusterSnapshotReplicated(dir string, rank int) (*ClusterSnapshot, error) {
-	mb, err := os.ReadFile(snapshot.ManifestFile(dir))
+	dt, m, err := openClusterRank(dir, rank)
 	if err != nil {
-		return nil, err
-	}
-	m, err := parseClusterManifest(mb)
-	if err != nil {
-		return nil, err
-	}
-	if rank < 0 || rank >= m.Ranks {
-		return nil, fmt.Errorf("panda: rank %d out of range for %d-rank snapshot", rank, m.Ranks)
-	}
-	snap, err := snapshot.Open(snapshot.ShardFile(dir, rank))
-	if err != nil {
-		return nil, err
-	}
-	dt, err := distTreeFromSnapshot(snap, rank, m)
-	if err != nil {
-		snap.Close()
 		return nil, err
 	}
 	cs := &ClusterSnapshot{
@@ -354,15 +351,7 @@ func replicaTreeFromSnapshot(snap *snapshot.Snapshot, s, ranks, dims int, totalP
 	if meta.TotalPoints != totalPoints {
 		return nil, fmt.Errorf("panda: shard file records %d total points, cluster has %d", meta.TotalPoints, totalPoints)
 	}
-	kt, err := kdtree.FromRaw(snap.Raw)
-	if err != nil {
-		return nil, err
-	}
-	threads := snap.Raw.Opts.Threads
-	if threads <= 0 {
-		threads = 1
-	}
-	return &Tree{t: kt, threads: threads, closeSnap: snap.Close}, nil
+	return wrapSnapshotTree(snap)
 }
 
 // Close releases the rank's own tree and every opened replica.
