@@ -332,9 +332,14 @@ func (c *Client) KNNBatch(queries []float32, k int) ([][]Neighbor, error) {
 	if k < 1 || k > proto.MaxK {
 		return nil, fmt.Errorf("panda: k %d out of range [1, %d]", k, proto.MaxK)
 	}
-	if nq := len(queries) / c.id.Dims; int64(nq)*int64(k) > proto.MaxResultNeighbors {
+	nq := len(queries) / c.id.Dims
+	if int64(nq)*int64(k) > proto.MaxResultNeighbors {
 		return nil, fmt.Errorf("panda: %d queries × k=%d exceeds the %d-neighbor response cap; split the batch",
 			nq, k, proto.MaxResultNeighbors)
+	}
+	if n := proto.KNNRequestLen(len(queries)); n > proto.MaxFrame {
+		return nil, fmt.Errorf("panda: %d queries of %d dims make a %d-byte request, exceeding the %d-byte frame cap; split the batch",
+			nq, c.id.Dims, n, proto.MaxFrame)
 	}
 	res, err := c.callRetry(func(b []byte, id uint64) []byte {
 		return proto.AppendKNNRequest(b, id, k, queries, c.id.Dims)

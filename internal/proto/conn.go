@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -70,9 +71,10 @@ func Dial(addr, dataset string, timeout time.Duration) (*Conn, error) {
 	}
 	nc.SetDeadline(time.Now().Add(timeout))
 	_, err = nc.Write(AppendHello(nil, dataset))
+	br := bufio.NewReader(nc) // a read syscall serves many small frames
 	var id DatasetID
 	if err == nil {
-		id, err = ReadWelcome(nc)
+		id, err = ReadWelcome(br)
 	}
 	if err != nil {
 		nc.Close()
@@ -80,7 +82,7 @@ func Dial(addr, dataset string, timeout time.Duration) (*Conn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	c := &Conn{ID: id, nc: nc, waiting: map[uint64]chan Result{}}
-	go c.readLoop()
+	go c.readLoop(br)
 	return c, nil
 }
 
@@ -117,7 +119,9 @@ func (c *Conn) forget(id uint64) {
 // request id — and waits for the response. With timeout > 0 the write is
 // deadlined (a server that stopped reading cannot pin the write lock) and
 // the wait gives up with ErrCallTimeout after timeout; with timeout == 0
-// the call waits until the response arrives or the connection fails.
+// the call waits until the response arrives or the connection fails. A
+// request too large for one frame fails this call alone: nothing was sent,
+// so the connection stays usable.
 func (c *Conn) Call(timeout time.Duration, encode func(b []byte, id uint64) []byte) Result {
 	c.mu.Lock()
 	if c.err != nil {
@@ -137,11 +141,14 @@ func (c *Conn) Call(timeout time.Duration, encode func(b []byte, id uint64) []by
 	}
 	c.wmu.Lock()
 	c.wbuf = encode(BeginFrame(c.wbuf[:0]), id)
-	err := FinishFrame(c.wbuf, 0)
-	if err == nil {
-		c.nc.SetWriteDeadline(deadline)
-		_, err = c.nc.Write(c.wbuf)
+	if err := FinishFrame(c.wbuf, 0); err != nil {
+		c.wbuf = nil // do not keep the oversize encoding
+		c.wmu.Unlock()
+		c.forget(id)
+		return Result{Err: fmt.Errorf("proto: request not sent: %w", err)}
 	}
+	c.nc.SetWriteDeadline(deadline)
+	_, err := c.nc.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		// The request never reached the server; fail the connection so
@@ -169,11 +176,11 @@ func (c *Conn) Call(timeout time.Duration, encode func(b []byte, id uint64) []by
 // readLoop is the connection's single response reader: it decodes frames
 // and routes them to waiters by request id, until the first read or decode
 // error fails the connection.
-func (c *Conn) readLoop() {
+func (c *Conn) readLoop(br *bufio.Reader) {
 	var buf []byte
 	var resp Response
 	for {
-		payload, err := ReadFrame(c.nc, buf)
+		payload, err := ReadFrame(br, buf)
 		if err != nil {
 			c.Fail(fmt.Errorf("%w: %w", ErrConnLost, err))
 			return

@@ -287,3 +287,32 @@ func TestConnFailHandsErrorToCalls(t *testing.T) {
 		t.Fatalf("Err() = %v, want the first error %v", err, errX)
 	}
 }
+
+// TestConnOversizeRequestFailsOnlyItsCall: a request whose encoding exceeds
+// MaxFrame is never sent, so it fails its own call with a plain error (not
+// ErrConnLost, which would invite a redial) and the connection keeps
+// answering other calls.
+func TestConnOversizeRequestFailsOnlyItsCall(t *testing.T) {
+	addr := startLoopback(t, func(nc net.Conn) {
+		for {
+			id, err := readID(nc)
+			if err != nil || answerID(nc, id) != nil {
+				return
+			}
+		}
+	})
+	c := dialLoopback(t, addr)
+	res := c.Call(0, func(b []byte, id uint64) []byte {
+		return append(AppendPingRequest(b, id), make([]byte, MaxFrame)...)
+	})
+	if res.Err == nil || errors.Is(res.Err, ErrConnLost) {
+		t.Fatalf("oversize request: err = %v, want a non-transport error", res.Err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("connection failed by an oversize request: %v", err)
+	}
+	var id uint64
+	if res := c.Call(0, pingEncoder(&id)); res.Err != nil || len(res.Flat) != 1 || res.Flat[0].ID != int64(id) {
+		t.Fatalf("call after the oversize request: %+v", res)
+	}
+}

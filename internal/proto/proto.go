@@ -167,7 +167,7 @@ const (
 	StageLinger                      // dequeue → batch close (draining the intake into the round)
 	StageEngine                      // local tree compute (KNN/radius kernels)
 	StageRemoteExchange              // cluster forwarding + remote-candidate exchange
-	StageResponseWrite               // response encode + conn write
+	StageResponseWrite               // response encode + rest of the dispatch round + conn write
 	NumStages
 )
 
@@ -533,6 +533,11 @@ func AppendKNNRequest(b []byte, id uint64, k int, coords []float32, dims int) []
 	b = wire.AppendFloat32s(b, coords)
 	return b
 }
+
+// KNNRequestLen is the frame payload size of the KindKNN request
+// AppendKNNRequest encodes for ncoords coordinates; a client checks it
+// against MaxFrame before encoding.
+func KNNRequestLen(ncoords int) int { return 1 + 8 + 4 + 4 + 4 + 4*ncoords }
 
 // AppendRadiusRequest encodes a KindRadius request for one query point.
 func AppendRadiusRequest(b []byte, id uint64, r2 float32, q []float32) []byte {

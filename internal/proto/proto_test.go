@@ -431,3 +431,16 @@ func TestFrameOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKNNRequestLen ties the client's up-front frame-cap check to the
+// encoder it guards: KNNRequestLen must equal the encoded payload size.
+func TestKNNRequestLen(t *testing.T) {
+	for _, dims := range []int{1, 3, 10} {
+		for _, nq := range []int{0, 1, 7, 1000} {
+			coords := make([]float32, nq*dims)
+			if got, want := KNNRequestLen(len(coords)), len(AppendKNNRequest(nil, 1, 5, coords, dims)); got != want {
+				t.Errorf("dims %d nq %d: KNNRequestLen %d, encoded %d bytes", dims, nq, got, want)
+			}
+		}
+	}
+}

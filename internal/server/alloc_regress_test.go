@@ -7,29 +7,16 @@
 package server
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"panda/internal/proto"
 )
 
-// sinkConn is a no-op net.Conn for measuring the dispatch loop alone.
-type sinkConn struct{}
-
-func (sinkConn) Read(b []byte) (int, error)         { return 0, net.ErrClosed }
-func (sinkConn) Write(b []byte) (int, error)        { return len(b), nil }
-func (sinkConn) Close() error                       { return nil }
-func (sinkConn) LocalAddr() net.Addr                { return nil }
-func (sinkConn) RemoteAddr() net.Addr               { return nil }
-func (sinkConn) SetDeadline(t time.Time) error      { return nil }
-func (sinkConn) SetReadDeadline(t time.Time) error  { return nil }
-func (sinkConn) SetWriteDeadline(t time.Time) error { return nil }
-
 // TestDispatchLoopAllocs measures the server's steady-state dispatch path —
-// intake batch → grouped engine call → encoded, written and observed
-// responses — and requires
-// amortized zero allocations per query once warm.
+// intake batch → grouped engine call → encoded, flushed and observed
+// responses — and requires amortized zero allocations per query once warm,
+// and one write per round for the round's one connection.
 func TestDispatchLoopAllocs(t *testing.T) {
 	const (
 		dims  = 3
@@ -39,12 +26,14 @@ func TestDispatchLoopAllocs(t *testing.T) {
 	tree, coords := testTree(t, 4000, dims)
 	s := New(tree, Config{})
 	d := newDispatcher(s)
-	fake := &conn{nc: sinkConn{}}
+	sink := &sinkConn{}
+	fake := &conn{nc: sink}
 
 	fill := func() {
 		d.batch = d.batch[:0]
 		for i := 0; i < batch; i++ {
 			p := s.getPending()
+			fake.unanswered.Add(1) // handed on, as the reader does
 			p.c = fake
 			p.eng = s.def
 			p.tree = s.def.shards[0].Load()
@@ -66,11 +55,16 @@ func TestDispatchLoopAllocs(t *testing.T) {
 		fill()
 		d.process()
 	}
+	sink.writes = 0
 	allocs := testing.AllocsPerRun(50, func() {
 		fill()
 		d.process()
 	})
 	if perQuery := allocs / batch; perQuery > 0.01 {
 		t.Fatalf("%v allocations per query (%.1f per batch), want amortized 0", perQuery, allocs)
+	}
+	// AllocsPerRun runs the function once more to warm up.
+	if sink.writes != 51 {
+		t.Fatalf("%d writes for 51 rounds of %d responses on one connection, want one per round", sink.writes, batch)
 	}
 }

@@ -311,7 +311,7 @@ func (rt *router) liveHolders(s int, out []int) []int {
 }
 
 // route answers one external request. It owns p and returns it to the pool.
-// Observation happens when the handler answers (reply or Server.send),
+// Observation happens when the handler answers (Server.flush),
 // while p is still alive, so the stage decomposition and trace capture see
 // the request's full ledger.
 func (rt *router) route(p *pending) {
@@ -757,13 +757,11 @@ func (rt *router) routeFetchSection(p *pending) {
 		return
 	}
 	s.statReplBytes.Add(int64(len(data)))
-	writeStart := time.Now()
-	buf := proto.AppendSectionDataResponse(proto.BeginFrame(nil), p.req.ID, p.req.Shard, p.req.FetchOff, fileSize, crc, data)
-	if err := proto.FinishFrame(buf, 0); err != nil {
-		rt.reply(p, nil, err)
-		return
-	}
-	s.send(p, buf, writeStart, nil)
+	var o outbox
+	s.stage(&o, p, time.Now(), nil, func(b []byte) []byte {
+		return proto.AppendSectionDataResponse(b, p.req.ID, p.req.Shard, p.req.FetchOff, fileSize, crc, data)
+	})
+	s.flush(&o)
 }
 
 // gatherCoords packs the selected queries' coordinates row-major.
@@ -776,9 +774,10 @@ func gatherCoords(coords []float32, idx []int, dims int) []float32 {
 }
 
 // reply answers a routed request with its per-query neighbor lists in
-// order, or with err when it is set, through Server.respond. A traced
-// client gets the stage waterfall — this rank's ledger plus every remote
-// span collected on the way — as a response trailer.
+// order, or with err when it is set, through Server.respond and
+// Server.flush as a round of one. A traced client gets the stage
+// waterfall — this rank's ledger plus every remote span collected on the
+// way — as a response trailer.
 func (rt *router) reply(p *pending, res [][]panda.Neighbor, err error) {
 	writeStart := time.Now()
 	var offsets []int32
@@ -795,5 +794,7 @@ func (rt *router) reply(p *pending, res [][]panda.Neighbor, err error) {
 			offsets[i+1] = int32(len(flat))
 		}
 	}
-	rt.s.respond(p, nil, writeStart, offsets, flat, err)
+	var o outbox
+	rt.s.respond(&o, p, writeStart, offsets, flat, err)
+	rt.s.flush(&o)
 }

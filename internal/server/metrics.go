@@ -3,9 +3,10 @@
 // few lines of text, not worth a dependency).
 //
 // Request latency is measured from the moment the reader goroutine decodes
-// a request off the wire to the moment the write of its response returns,
-// so it includes intake queueing, micro-batch assembly, engine time, the
-// response write, and (cluster mode) forwarding and remote-candidate
+// a request off the wire to the moment the flush carrying its response
+// returns, so it includes intake queueing, micro-batch assembly, engine
+// time, the wait for the rest of its dispatch round, the response write,
+// and (cluster mode) forwarding and remote-candidate
 // round-trips — the latency a client actually experiences minus the network
 // hop. Stats/ping requests are not observed: they carry no query work and
 // would only dilute the histogram the loadgen reads.
@@ -77,8 +78,11 @@ type metrics struct {
 // observeRequest is the single observation site for one answered external
 // request: the per-stage histograms, the per-kind counter, slow-query
 // accounting, trace capture, and the tenant's end-to-end histogram. Every
-// stage count therefore equals the end-to-end count. The response write ran
-// from writeStart to end, the post-write stamp.
+// stage count therefore equals the end-to-end count. The response-write
+// stage runs from writeStart, when the request's answer was ready, to end,
+// the post-flush stamp: besides encoding and the write it absorbs the
+// engine calls of the round's later (tree, k) and radius groups, which the
+// engine stage charges only to their own requests.
 func (s *Server) observeRequest(p *pending, writeStart, end time.Time, reqErr error) {
 	st := p.stages(writeStart, end)
 	e2e := end.Sub(p.arrived)

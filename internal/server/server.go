@@ -14,14 +14,15 @@
 // Config.MaxBatch queries, never waiting for more — groups the KNN queries
 // by k, concatenates their coordinates, and answers each group with one
 // Tree.KNNBatchFlatInto call on the pooled zero-allocation engine.
-// Responses are then fanned back out to the waiting connections. Batching
-// is natural: requests that arrive while one round runs are the next
-// round's batch, so batches grow with load, and a lone query on an idle
-// server is dispatched at once. A thousand independent clients therefore
-// get batched-engine throughput without changing their one-query-at-a-time
-// API. Radius queries ride in the same intake but execute individually
-// against pooled searchers (they have no fixed result size to batch into
-// an arena).
+// Each connection gets one write per round, as the paper's rounds pack each
+// destination's messages into one buffer, and readers parse frames out of a
+// 4 KiB buffer. Batching is natural: requests that arrive while one round
+// runs are the next round's batch, so batches grow with load, and a lone
+// query on an idle server is dispatched at once. A thousand independent
+// clients therefore get batched-engine throughput without changing their
+// one-query-at-a-time API. Radius queries ride in the same intake but run
+// individually on pooled searchers (they have no fixed result size to batch
+// into an arena).
 //
 // Request structs, coordinate buffers, result arenas, and response encode
 // buffers are all recycled, so the steady-state dispatch loop performs zero
@@ -31,8 +32,8 @@
 //
 // The reader answers stats, pings and refusals itself (conn.writeAnswer).
 // Every other response, from the dispatcher or the cluster router, is
-// encoded by Server.respond and leaves through Server.send, which releases
-// admission, writes, closes a failed connection, and observes the request.
+// staged by Server.stage, which releases its admission, and leaves through
+// Server.flush, which writes each connection once and observes requests.
 // Each request carries one stage ledger (pending.spent): whoever dequeues
 // it charges queue wait, the dispatcher charges linger and engine, router
 // legs charge remote exchange, and an owner-local leg's ledger is added to
@@ -76,11 +77,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,13 +130,16 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	// writeTimeout bounds each response write. The single dispatcher writes
-	// responses synchronously, so a client that stops draining its socket
-	// head-of-line blocks other responses for up to one writeTimeout; after
-	// that the connection is closed and costs nothing further.
+	// writeTimeout bounds each write of a flush. The single dispatcher
+	// flushes rounds synchronously, so a client that stops draining its
+	// socket stalls its round's other connections for up to one
+	// writeTimeout; after that the connection is closed and costs nothing.
 	// (Per-connection writer queues would remove the one-timeout stall;
 	// they are future work.)
 	writeTimeout = 2 * time.Second
+	// flushBytes: a round flushes early once it has staged this much, so an
+	// outbox holds and writes at most this plus one frame at a time.
+	flushBytes = 256 << 10
 	// handshakeTimeout bounds the initial hello exchange.
 	handshakeTimeout = 10 * time.Second
 )
@@ -442,11 +448,13 @@ func (s *Server) removeConn(c *conn) {
 }
 
 // conn is one client connection. The reader goroutine is the only reader;
-// writes (dispatcher responses, reader error responses) serialize on wmu.
+// writes (flushed rounds, the reader's own answers) serialize on wmu.
 type conn struct {
 	nc   net.Conn
 	wmu  sync.Mutex
 	dead atomic.Bool
+	// unanswered counts the requests the reader handed on but no flush wrote.
+	unanswered sync.WaitGroup
 	// eng is the dataset this connection bound to at handshake; every
 	// request it sends is answered from that engine's tree and counted
 	// against that tenant. Written once by the reader before any request is
@@ -501,9 +509,8 @@ func (c *conn) close() {
 	c.nc.Close()
 }
 
-// writeFrame writes one already-framed buffer (length prefix included)
-// under writeTimeout. Errors mark the connection dead; the dispatcher keeps
-// going.
+// writeFrame writes already-framed bytes (length prefixes included) under
+// writeTimeout. Errors mark the connection dead; the dispatcher keeps going.
 func (c *conn) writeFrame(buf []byte) error {
 	if c.dead.Load() {
 		return net.ErrClosed
@@ -606,7 +613,7 @@ func (s *Server) getPending() *pending {
 	return &pending{}
 }
 
-// releaseAdmission returns p's weight to the admission limit. send calls it
+// releaseAdmission returns p's weight to the admission limit. stage calls it
 // before the bytes leave, so a client holding its answer is never shed by
 // its own finished request; putPending covers the rest.
 func (s *Server) releaseAdmission(p *pending) {
@@ -656,7 +663,8 @@ func (s *Server) serveConn(c *conn) {
 	defer s.readers.Done()
 
 	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	hello, err := proto.ReadHello(c.nc)
+	br := bufio.NewReader(c.nc) // a read syscall serves many small frames
+	hello, err := proto.ReadHello(br)
 	if err != nil {
 		s.removeConn(c)
 		c.close()
@@ -687,7 +695,7 @@ func (s *Server) serveConn(c *conn) {
 	var buf []byte
 	var ansBuf []byte
 	for {
-		payload, rerr := proto.ReadFrame(c.nc, buf)
+		payload, rerr := proto.ReadFrame(br, buf)
 		if rerr != nil {
 			break
 		}
@@ -758,6 +766,7 @@ func (s *Server) serveConn(c *conn) {
 		} else if s.cfg.TraceSample > 0 && proto.TraceableKind(p.req.Kind) && c.sample(s.cfg.TraceSample) {
 			p.trace = newTraceCtx(c.newTraceID())
 		}
+		c.unanswered.Add(1)
 		// Cluster mode: every remaining kind goes through the shard router
 		// (owner lookup, forwarding, remote-candidate exchange, failover) in
 		// its own goroutine so the reader keeps pipelining and the
@@ -786,6 +795,7 @@ func (s *Server) serveConn(c *conn) {
 	}
 	if !s.draining() {
 		s.removeConn(c)
+		c.unanswered.Wait() // answer what was read before a disconnect or bad frame
 		c.close()
 	}
 }
@@ -801,52 +811,91 @@ func clusterOnlyKind(kind byte) bool {
 	return false
 }
 
-// respond answers p: through its done hook when p is an internal router
-// stage, otherwise with a KindNeighbors frame — carrying the stage
-// waterfall as a trailer when the client asked for a trace — or, when err
-// is set or the answer does not fit a frame, a KindError frame, handed to
-// send. writeStart is where the response-write stage begins. offsets may be
-// absolute into a larger arena; only differences matter — flat[0]
-// corresponds to offsets[0]. buf is reusable encode space; respond returns
-// it grown.
-func (s *Server) respond(p *pending, buf []byte, writeStart time.Time, offsets []int32, flat []panda.Neighbor, err error) []byte {
+// respond answers p through its done hook when p is an internal router
+// stage, otherwise by staging a KindNeighbors frame (with the stage waterfall
+// for a traced client). writeStart is where the response-write stage starts.
+// offsets may be absolute into a larger arena: flat[0] is at offsets[0].
+func (s *Server) respond(o *outbox, p *pending, writeStart time.Time, offsets []int32, flat []panda.Neighbor, err error) {
 	if p.done != nil {
 		p.done(flat, offsets, err)
-		return buf
+		return
 	}
-	if err == nil {
-		buf = proto.AppendNeighborsResponse(proto.BeginFrame(buf[:0]), p.req.ID, offsets, flat)
+	s.stage(o, p, writeStart, err, func(b []byte) []byte {
+		b = proto.AppendNeighborsResponse(b, p.req.ID, offsets, flat)
 		if p.trace != nil && p.req.Traced {
-			// The wire's write span closes before the write itself finishes
-			// (it is inside the frame being written); the trace ring keeps
-			// the true post-write value.
+			// The wire's write span ends inside the frame being written; the
+			// trace ring keeps the true post-flush value.
 			spans := stageSpans(nil, s.rank, p.stages(writeStart, time.Now()))
-			buf = proto.AppendTraceSpans(buf, p.trace.id, append(spans, p.trace.remoteSpans()...))
+			b = proto.AppendTraceSpans(b, p.trace.id, append(spans, p.trace.remoteSpans()...))
 		}
-		err = proto.FinishFrame(buf, 0)
-	}
-	if err != nil {
-		buf = proto.AppendErrorResponse(proto.BeginFrame(buf[:0]), p.req.ID, err.Error())
-		_ = proto.FinishFrame(buf, 0) // proto caps error messages far below MaxFrame
-	}
-	s.send(p, buf, writeStart, err)
-	return buf
+		return b
+	})
 }
 
-// send writes p's response frame and observes the request: every
-// dispatched or routed response leaves through here. A failed write
-// (stalled or vanished client) closes the connection, which also unblocks
-// its reader — the connection pays at most one writeTimeout before every
-// later response to it is skipped via the dead flag. Observation follows
-// the write, so the response-write stage ends at the stamp that ends the
-// end-to-end latency.
-func (s *Server) send(p *pending, frame []byte, writeStart time.Time, err error) {
-	s.releaseAdmission(p)
-	if p.c.writeFrame(frame) != nil {
-		s.removeConn(p.c)
-		p.c.close()
+// outbox stages the external responses of one round — a dispatch round, or
+// a routed reply as a round of one — per connection; its buffers are reused.
+type outbox struct {
+	conns  []*conn
+	bufs   [][]byte // bufs[i] holds the frames staged for conns[i]
+	staged int      // bytes staged since the last flush
+	sent   []sent   // answered requests, observed after the flush
+}
+
+type sent struct {
+	p          *pending
+	writeStart time.Time
+	err        error
+}
+
+// stage is the one place a response is staged: it frames what enc appends
+// for p on p's connection (a linear scan: a round touches at most MaxBatch),
+// or a KindError frame when err is set or the payload overflows a frame.
+func (s *Server) stage(o *outbox, p *pending, writeStart time.Time, err error, enc func([]byte) []byte) {
+	i := slices.Index(o.conns, p.c)
+	if i < 0 {
+		if i = len(o.conns); len(o.bufs) == i {
+			o.bufs = append(o.bufs, nil)
+		}
+		o.conns, o.bufs[i] = append(o.conns, p.c), o.bufs[i][:0]
 	}
-	s.observeRequest(p, writeStart, time.Now(), err)
+	b := &o.bufs[i]
+	start := len(*b)
+	if err == nil {
+		*b = enc(proto.BeginFrame(*b))
+		err = proto.FinishFrame(*b, start)
+	}
+	if err != nil {
+		*b = proto.AppendErrorResponse(proto.BeginFrame((*b)[:start]), p.req.ID, err.Error())
+		_ = proto.FinishFrame(*b, start) // proto caps error messages far below MaxFrame
+	}
+	s.releaseAdmission(p) // the answer exists: admission ends before any byte leaves
+	o.sent = append(o.sent, sent{p, writeStart, err})
+	if o.staged += len(*b) - start; o.staged >= flushBytes {
+		s.flush(o)
+	}
+}
+
+// flush ends a round: it writes each connection's frames at once (a failed
+// write closes the connection, unblocking its reader; a buffer grown past
+// flushBytes is dropped), then observes each request at the post-flush stamp.
+func (s *Server) flush(o *outbox) {
+	for i, c := range o.conns {
+		if c.writeFrame(o.bufs[i]) != nil {
+			s.removeConn(c)
+			c.close()
+		}
+		if cap(o.bufs[i]) > flushBytes {
+			o.bufs[i] = nil
+		}
+	}
+	end := time.Now()
+	for _, r := range o.sent {
+		s.observeRequest(r.p, r.writeStart, end, r.err)
+		r.p.c.unanswered.Done()
+	}
+	clear(o.conns)
+	clear(o.sent)
+	o.conns, o.sent, o.staged = o.conns[:0], o.sent[:0], 0
 }
 
 // dispatcher holds the dispatch loop's recycled buffers.
@@ -862,8 +911,8 @@ type dispatcher struct {
 	// radius staging
 	radius []panda.Neighbor
 	offs2  []int32
-	// response frame encode buffer
-	wbuf []byte
+	// the round's responses, staged per connection
+	out outbox
 }
 
 func newDispatcher(s *Server) *dispatcher {
@@ -938,13 +987,13 @@ func (d *dispatcher) process() {
 			if len(d.radius) > proto.MaxResultNeighbors {
 				// Refuse before encoding: a dense-enough ball would
 				// otherwise build a response buffer beyond the frame cap.
-				d.wbuf = s.respond(p, d.wbuf, engined, nil, nil, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
+				s.respond(&d.out, p, engined, nil, nil, fmt.Errorf("radius search matched %d points, exceeding the %d-neighbor response cap; shrink r2",
 					len(d.radius), proto.MaxResultNeighbors))
 				continue
 			}
 			d.offs2[0] = 0
 			d.offs2[1] = int32(len(d.radius))
-			d.wbuf = s.respond(p, d.wbuf, engined, d.offs2, d.radius, nil)
+			s.respond(&d.out, p, engined, d.offs2, d.radius, nil)
 			continue
 		}
 		// Gather every not-yet-answered KNN request for the same tree with
@@ -970,7 +1019,7 @@ func (d *dispatcher) process() {
 		}
 		if err != nil {
 			for _, q := range d.group {
-				d.wbuf = s.respond(q, d.wbuf, engined, nil, nil, err)
+				s.respond(&d.out, q, engined, nil, nil, err)
 			}
 			continue
 		}
@@ -980,10 +1029,11 @@ func (d *dispatcher) process() {
 		for _, q := range d.group {
 			nq := q.req.NQ
 			segOff := offsets[qpos : qpos+nq+1]
-			d.wbuf = s.respond(q, d.wbuf, engined, segOff, flat[segOff[0]:segOff[nq]], nil)
+			s.respond(&d.out, q, engined, segOff, flat[segOff[0]:segOff[nq]], nil)
 			qpos += nq
 		}
 	}
+	s.flush(&d.out)
 	for _, p := range d.batch {
 		s.putPending(p)
 	}

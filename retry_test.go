@@ -332,3 +332,53 @@ func TestOverloadSurfacesWithoutOptIn(t *testing.T) {
 		t.Fatalf("follow-up query answered by marker %d, want 7", got)
 	}
 }
+
+// TestOversizeBatchLeavesConnectionUsable is the regression test for an
+// oversize request killing a shared client: 1.7M 10-D queries at k=1 pass
+// the response-cap check, but their request frame exceeds proto.MaxFrame.
+// KNNBatch must refuse it up front with a "split the batch" error while
+// concurrent KNN calls on the same client all succeed, and the client must
+// stay usable afterwards.
+func TestOversizeBatchLeavesConnectionUsable(t *testing.T) {
+	const (
+		dims  = 10
+		nq    = 1_700_000
+		calls = 2000
+	)
+	fs := startFakeServer(t, dims, 100, 7)
+	c, err := Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	failed := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.KNN(make([]float32, dims), 1); err != nil {
+				failed <- err
+			}
+		}()
+	}
+	_, berr := c.KNNBatch(make([]float32, nq*dims), 1)
+	wg.Wait()
+	close(failed)
+	if berr == nil || !strings.Contains(berr.Error(), "split the batch") {
+		t.Fatalf("oversize KNNBatch: err = %v, want a split-the-batch error", berr)
+	}
+	n := 0
+	for err := range failed {
+		if n++; n == 1 {
+			t.Errorf("concurrent KNN failed: %v", err)
+		}
+	}
+	if n > 0 {
+		t.Fatalf("%d of %d concurrent KNN calls failed", n, calls)
+	}
+	if got := answeredBy(t, c, dims); got != 7 {
+		t.Fatalf("answer after the oversize batch came from marker %d, want 7", got)
+	}
+}
