@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math"
+	"math/bits"
 
 	"panda/internal/geom"
 	"panda/internal/knnheap"
@@ -230,12 +231,20 @@ func (s *Searcher) searchIter() {
 	s.stack = stack[:0] // keep any capacity growth for the next query
 }
 
+// leafMask is the leaf kernel of the ≥4-D scans. Tests swap in
+// geom.Dist2MaskGo to check that the SIMD path changes no answer and no
+// QueryStats count.
+var leafMask = geom.Dist2Mask
+
 // scanLeaf exhaustively scores a packed bucket (§III-C: "This computation is
 // very SIMD-friendly as the required points are localized in memory"). Low
 // dimensionalities fuse distance and selection into one register-resident
-// pass; higher dimensionalities score the block through the bounded batch
-// kernel (early-exiting points that already exceed the pruning radius — the
-// dominant case in high dimensions once the heap is warm) and then filter.
+// pass. Higher dimensionalities score up to geom.MaskBlock points at a time
+// with the candidate-mask kernel under the bound at the block's start (the
+// AVX2 kernel where the CPU has it), then walk only the candidates, in point
+// order, re-checking each against the current, shrinking bound before it is
+// pushed — the same pushes in the same order as a scalar filter over every
+// point.
 func (s *Searcher) scanLeaf(n *node) {
 	lo, hi := int(n.start), int(n.end)
 	if lo == hi {
@@ -252,17 +261,21 @@ func (s *Searcher) scanLeaf(n *node) {
 		s.scanLeaf3(lo, hi)
 		return
 	}
-	block := s.t.Points.Coords[lo*dims : hi*dims]
-	dist := s.scratch[:cnt]
+	coords := s.t.Points.Coords
+	ids := s.t.IDs
 	b := s.b
-	geom.Dist2BatchBounded(s.q, block, dist, b)
 	r2cap := s.r2cap
 	pushes := int64(0)
-	for i, d := range dist {
-		if d < b {
-			var ok bool
-			if ok, b = s.h.PushBound(d, s.t.IDs[lo+i], r2cap); ok {
-				pushes++
+	for c := lo; c < hi; c += geom.MaskBlock {
+		e := min(c+geom.MaskBlock, hi)
+		dist := s.scratch[:e-c]
+		for m := leafMask(s.q, coords[c*dims:e*dims], dist, b); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if d := dist[i]; d < b {
+				var ok bool
+				if ok, b = s.h.PushBound(d, ids[c+i], r2cap); ok {
+					pushes++
+				}
 			}
 		}
 	}

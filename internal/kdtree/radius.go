@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math/bits"
 	"sort"
 
 	"panda/internal/geom"
@@ -143,6 +144,9 @@ func (s *Searcher) radiusScanLeaf(n *node, collect bool, out []Neighbor, total i
 	}
 	cnt := hi - lo
 	dims := s.t.Points.Dims
+	if dims >= 4 {
+		return s.radiusScanMask(lo, hi, collect, out, total)
+	}
 	block := s.t.Points.Coords[lo*dims : hi*dims]
 	dist := s.scratch[:cnt]
 	geom.Dist2BatchBounded(s.q, block, dist, s.r2cap)
@@ -153,6 +157,25 @@ func (s *Searcher) radiusScanLeaf(n *node, collect bool, out []Neighbor, total i
 			if collect {
 				out = append(out, Neighbor{ID: s.t.IDs[lo+i], Dist2: d})
 			}
+		}
+	}
+	return out, total
+}
+
+// radiusScanMask is the ≥4-D leaf scan of the radius walk: the fixed bound
+// makes the candidate mask the exact answer set, walked in point order.
+func (s *Searcher) radiusScanMask(lo, hi int, collect bool, out []Neighbor, total int) ([]Neighbor, int) {
+	dims := s.t.Points.Dims
+	coords := s.t.Points.Coords
+	s.stats.PointsScanned += int64(hi - lo)
+	for c := lo; c < hi; c += geom.MaskBlock {
+		e := min(c+geom.MaskBlock, hi)
+		dist := s.scratch[:e-c]
+		m := leafMask(s.q, coords[c*dims:e*dims], dist, s.r2cap)
+		total += bits.OnesCount64(m)
+		for ; collect && m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			out = append(out, Neighbor{ID: s.t.IDs[c+i], Dist2: dist[i]})
 		}
 	}
 	return out, total

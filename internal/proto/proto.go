@@ -464,10 +464,15 @@ func FinishFrame(b []byte, start int) error {
 
 // ReadFrame reads one length-prefixed frame payload from r into buf
 // (reusing its capacity) and returns the payload. A length prefix above
-// MaxFrame is rejected before any allocation.
+// MaxFrame is rejected before the payload buffer is sized. The prefix is
+// read into buf's own storage, so a reused buffer makes a read
+// allocation-free.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	// Compare as uint32 before converting: on 32-bit platforms a hostile

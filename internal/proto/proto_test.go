@@ -360,6 +360,39 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameZeroAllocs: with a reused buffer, reading a frame allocates
+// nothing — the length prefix lands in the buffer, not on the heap.
+func TestReadFrameZeroAllocs(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 4; i++ {
+		start := len(stream)
+		stream = BeginFrame(stream)
+		stream = AppendErrorResponse(stream, uint64(i), "frame payload")
+		if err := FinishFrame(stream, start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(stream)
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		for i := 0; i < 4; i++ {
+			payload, err := ReadFrame(r, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = payload
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrame with a reused buffer: %v allocations per 4 frames, want 0", allocs)
+	}
+	var resp Response
+	if err := ConsumeResponse(buf, &resp); err != nil || resp.ID != 3 || resp.Err != "frame payload" {
+		t.Fatalf("last frame decoded %+v, %v", resp, err)
+	}
+}
+
 // TestFrameOverTCP sanity-checks framing across a real socket boundary,
 // including partial reads.
 func TestFrameOverTCP(t *testing.T) {

@@ -122,3 +122,26 @@ func TestKNNBatchZeroAllocsPerQuery(t *testing.T) {
 		t.Fatalf("%v allocations per query (%.0f per batch), want amortized 0", perQuery, allocs)
 	}
 }
+
+// TestKNNBatchZeroAllocsPerQuery10D is the 10-D twin of
+// TestKNNBatchZeroAllocsPerQuery: the ≥4-D leaf scan (the candidate-mask
+// kernel and its set-bit walk) allocates nothing per query either.
+func TestKNNBatchZeroAllocsPerQuery10D(t *testing.T) {
+	coords, dims, _ := genCoords("dayabay", 20_000, 13, t)
+	tree, err := Build(coords, dims, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nq = 2000
+	queries := coords[:nq*dims]
+	tree.KNNBatch(queries, 5) // warm the searcher pool
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := tree.KNNBatch(queries, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perQuery := allocs / nq
+	if perQuery > 0.01 {
+		t.Fatalf("%v allocations per query (%.0f per batch), want amortized 0", perQuery, allocs)
+	}
+}
