@@ -12,8 +12,8 @@ const MaskBlock = 64
 // other point some value ≥ bound.
 //
 // On amd64 CPUs with AVX2 (checked once at start-up through CPUID and
-// XGETBV) this is the 8-wide kernel of dist2mask_amd64.s; elsewhere, and
-// under the purego build tag, it is Dist2MaskGo.
+// XGETBV) this is the 8-wide kernel of dist2mask_amd64.s; elsewhere it is
+// Dist2MaskGo.
 func Dist2Mask(q, pts, out []float32, bound float32) uint64 {
 	dims := len(q)
 	n := len(pts) / dims

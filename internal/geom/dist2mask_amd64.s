@@ -1,4 +1,4 @@
-//go:build amd64 && !purego
+//go:build amd64
 
 #include "textflag.h"
 
@@ -81,10 +81,12 @@ TEXT ·dist2MaskAVX2(SB), NOSPLIT, $0-56
 	SHLQ         $2, R10
 	ADDQ         DI, R10                  // end of the block
 	MOVQ         DI, R11
+	ANDQ         $-64, R11                // the cache line of the first byte
 
 prefetch:
-	// Touch every cache line of the block up front, so its misses overlap
-	// instead of arriving one gather at a time.
+	// Touch every cache line of the block up front, from the first byte's
+	// to the last byte's, so their misses overlap instead of arriving one
+	// gather at a time.
 	PREFETCHT0 (R11)
 	ADDQ       $64, R11
 	CMPQ       R11, R10

@@ -1,9 +1,8 @@
-//go:build !amd64 || purego
+//go:build !amd64
 
 package geom
 
-// haveAVX2 is false off amd64 and under the purego build tag: Dist2Mask
-// always runs Dist2MaskGo.
+// haveAVX2 is false off amd64: Dist2Mask always runs Dist2MaskGo.
 const haveAVX2 = false
 
 func dist2MaskAVX2(q, pts, out *float32, n, dims int, bound float32) uint64 {

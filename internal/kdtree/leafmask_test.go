@@ -81,3 +81,40 @@ func TestLeafKernelSIMDMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRadius10D times the ≥4-D radius leaf scan: RadiusSearch and
+// CountWithin on a 100k-point 10-D dayabay tree, each query at the radius
+// of its 32nd nearest neighbour.
+func BenchmarkRadius10D(b *testing.B) {
+	d, err := data.ByName("dayabay", 100000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := data.ByName("dayabay", 1000, 99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := Build(d.Points, nil, Options{Threads: 2})
+	s := tr.NewSearcher()
+	qs := queries.Points
+	r2 := make([]float32, qs.Len())
+	for i := range r2 {
+		res, _ := s.Search(qs.At(i), 32, Inf2, nil)
+		r2[i] = res[31].Dist2
+	}
+	b.Run("radius", func(b *testing.B) {
+		var out []Neighbor
+		i := 0
+		for b.Loop() {
+			out, _ = s.RadiusSearch(qs.At(i), r2[i], out[:0])
+			i = (i + 1) % len(r2)
+		}
+	})
+	b.Run("count", func(b *testing.B) {
+		i := 0
+		for b.Loop() {
+			s.CountWithin(qs.At(i), r2[i])
+			i = (i + 1) % len(r2)
+		}
+	})
+}
