@@ -79,39 +79,35 @@ func ablationSplitDim(cfg Config) error {
 
 func ablationBinSearch(cfg Config) error {
 	cfg.printf("== Ablation: histogram bin location (sub-interval scan vs binary search) ==\n")
-	// Microbenchmark the two locators over realistic interval-point
-	// counts (the local tree uses 1024 samples; the global tree up to
-	// 2048 merged boundaries).
+	// Time whole histogram passes, the way tree construction runs them,
+	// over realistic interval-point counts (the local tree uses 1024
+	// samples; the global tree up to 2048 merged boundaries). The scan
+	// side is the block kernel of sample.Intervals.HistogramInto.
 	rng := data.NewRNG(7)
-	cfg.printf("%10s %14s %14s %10s\n", "intervals", "scan (ns/op)", "binary (ns/op)", "gain")
+	cfg.printf("%10s %16s %18s %10s\n", "intervals", "scan (ns/point)", "binary (ns/point)", "gain")
+	coords := make([]float32, 1<<16)
+	idx := make([]int32, len(coords))
+	for i := range coords {
+		coords[i] = rng.Float32()
+		idx[i] = int32(i)
+	}
 	for _, m := range []int{256, 1024, 2048} {
 		vals := make([]float32, m)
 		for i := range vals {
 			vals[i] = rng.Float32()
 		}
 		iv := sample.NewIntervals(vals)
-		probes := make([]float32, 4096)
-		for i := range probes {
-			probes[i] = rng.Float32()
-		}
-		const reps = 200
-		var sink int
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			for _, p := range probes {
-				sink += iv.LocateScan(p)
+		counts := make([]int64, iv.Bins())
+		const reps = 20
+		nsPerPoint := func(useScan bool) float64 {
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				iv.HistogramInto(counts, coords, 1, 0, idx, useScan)
 			}
+			return float64(time.Since(start).Nanoseconds()) / float64(reps*len(idx))
 		}
-		scanNS := float64(time.Since(start).Nanoseconds()) / float64(reps*len(probes))
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			for _, p := range probes {
-				sink += iv.LocateBinary(p)
-			}
-		}
-		binNS := float64(time.Since(start).Nanoseconds()) / float64(reps*len(probes))
-		_ = sink
-		cfg.printf("%10d %14.1f %14.1f %9.1f%%\n", m, scanNS, binNS, 100*(binNS-scanNS)/binNS)
+		scanNS, binNS := nsPerPoint(true), nsPerPoint(false)
+		cfg.printf("%10d %16.2f %18.2f %9.1f%%\n", m, scanNS, binNS, 100*(binNS-scanNS)/binNS)
 	}
 	cfg.printf("(paper: scan gains up to 42%% of local construction over binary search)\n\n")
 	return nil

@@ -17,7 +17,7 @@ const MaskBlock = 64
 func Dist2Mask(q, pts, out []float32, bound float32) uint64 {
 	dims := len(q)
 	n := len(pts) / dims
-	if !haveAVX2 || n == 0 || n > MaskBlock {
+	if !CPU.AVX2 || n == 0 || n > MaskBlock {
 		return Dist2MaskGo(q, pts, out, bound) // which rejects n > MaskBlock
 	}
 	out = out[:n] // the kernel writes exactly out[:n]

@@ -2,27 +2,30 @@
 
 package geom
 
-// haveAVX2 selects the AVX2 leaf kernel. The kernel needs AVX2 (VPMULLD,
-// VPBROADCASTD, VGATHERDPS) and an OS that saves the YMM registers; it uses
-// no FMA, so its sums round exactly like the scalar ones.
-var haveAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool {
+// detectCPU reads the CPUID feature bits. The leaf kernel needs AVX2
+// (VPMULLD, VPBROADCASTD, VGATHERDPS) and an OS that saves the YMM
+// registers; it uses no FMA, so its sums round exactly like the scalar ones.
+// The histogram kernel of internal/sample needs AVX2 and POPCNT.
+func detectCPU() CPUFeatures {
+	var f CPUFeatures
 	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
+	if maxID < 1 {
+		return f
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	_, _, ecx1, _ := cpuid(1, 0)
+	f.POPCNT = ecx1&popcnt != 0
+	if maxID < 7 || ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return f
 	}
 	const xmmYMMState = 1<<1 | 1<<2
 	if xgetbv()&xmmYMMState != xmmYMMState {
-		return false
+		return f
 	}
 	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	_, ebx7, _, _ := cpuid(7, 0)
+	f.AVX2 = ebx7&avx2 != 0
+	return f
 }
 
 // cpuid executes CPUID with the given leaf (EAX) and sub-leaf (ECX).

@@ -2,8 +2,9 @@
 
 package geom
 
-// haveAVX2 is false off amd64: Dist2Mask always runs Dist2MaskGo.
-const haveAVX2 = false
+// detectCPU reports no SIMD kernel off amd64: Dist2Mask always runs
+// Dist2MaskGo.
+func detectCPU() CPUFeatures { return CPUFeatures{} }
 
 func dist2MaskAVX2(q, pts, out *float32, n, dims int, bound float32) uint64 {
 	panic("geom: AVX2 kernel not built")

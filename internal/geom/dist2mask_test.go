@@ -33,7 +33,7 @@ func edgeBlock(r *kernelRNG, n, dims int) ([]float32, []float32) {
 // carry the bit-identical scalar Dist2 value, rejected points a value ≥
 // bound, and nothing past out[n] may be written.
 func TestDist2MaskAVX2MatchesGo(t *testing.T) {
-	if !haveAVX2 {
+	if !CPU.AVX2 {
 		t.Skip("AVX2 kernel not built or not supported by this CPU")
 	}
 	const poison = -7

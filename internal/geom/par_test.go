@@ -11,7 +11,7 @@ func parTestPoints(n, dims int) Points {
 	p := NewPoints(n, dims)
 	for i := range p.Coords {
 		// Deterministic, irregular, includes negatives and repeats.
-		p.Coords[i] = float32((i*2654435761)%4093)/17 - 100
+		p.Coords[i] = float32(uint32(i)*2654435761%4093)/17 - 100
 	}
 	return p
 }

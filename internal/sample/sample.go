@@ -9,10 +9,12 @@
 //     whose bin boundaries are the sampled values themselves, then picks the
 //     interval point closest to the 50% quantile as the approximate median;
 //   - histogram bin location: both the binary-search baseline and the
-//     branch-free two-level "sub-interval scan" the paper introduces (pull
-//     every 32nd interval point into a small sub-interval array, scan it
-//     linearly, then scan the identified 32-wide range), which on Edison
-//     gave up to 42% local-construction gains over binary search.
+//     two-level "sub-interval scan" the paper introduces (pull every 32nd
+//     interval point into a small sub-interval array, scan it linearly,
+//     then scan the identified 32-wide range), which on Edison gave up to
+//     42% local-construction gains over binary search. Histograms run it
+//     a block of values at a time, as SIMD compare + popcount on amd64
+//     with AVX2 (locate_amd64.s) and as the scalar LocateScan elsewhere.
 package sample
 
 import (
@@ -155,12 +157,21 @@ func Sample(coords []float32, dims, dim int, idx []int32, m int) []float32 {
 type Intervals struct {
 	Points []float32
 	Sub    []float32
+
+	// pointsPad is Points followed by SubIntervalStride NaNs, and subPad is
+	// Sub NaN-padded to a multiple of 8: the block kernel compares whole
+	// 8-wide groups of Sub and a full 32-wide window of Points, and an
+	// ordered comparison never counts a NaN pad. Both are nil when Points
+	// is empty or holds a NaN; HistogramInto then locates every value with
+	// LocateScan.
+	pointsPad, subPad []float32
 }
 
 // NewIntervals sorts (a copy of) the sample values, deduplicates them, and
-// precomputes the sub-interval array.
+// precomputes the sub-interval array and the block kernel's padded copies.
 func NewIntervals(sample []float32) Intervals {
-	pts := make([]float32, len(sample))
+	// One allocation holds the boundaries and, past them, the NaN pad.
+	pts := make([]float32, len(sample), len(sample)+SubIntervalStride)
 	copy(pts, sample)
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
 	// Deduplicate: equal boundary values create zero-width bins which add
@@ -172,21 +183,36 @@ func NewIntervals(sample []float32) Intervals {
 			uniq = append(uniq, v)
 		}
 	}
-	pts = uniq
-	iv := Intervals{Points: pts}
-	iv.Sub = buildSub(pts)
+	n := len(uniq)
+	// The capacity limits keep an append to Points or Sub off the pads.
+	iv := Intervals{Points: pts[:n:n]}
+	if n == 0 {
+		return iv
+	}
+	m := (n + SubIntervalStride - 1) / SubIntervalStride
+	sub := make([]float32, (m+7)&^7)
+	for j := 0; j < m; j++ {
+		sub[j] = pts[j*SubIntervalStride]
+	}
+	iv.Sub = sub[:m:m]
+	// Dedup keeps every NaN (NaN != anything), so checking Points suffices.
+	for _, v := range iv.Points {
+		if v != v {
+			return iv
+		}
+	}
+	iv.subPad = padNaN(sub, m)
+	iv.pointsPad = padNaN(pts[:n+SubIntervalStride], n)
 	return iv
 }
 
-func buildSub(pts []float32) []float32 {
-	if len(pts) == 0 {
-		return nil
+// padNaN sets s[from:] to NaN and returns s.
+func padNaN(s []float32, from int) []float32 {
+	nan := float32(math.NaN())
+	for i := from; i < len(s); i++ {
+		s[i] = nan
 	}
-	sub := make([]float32, 0, (len(pts)+SubIntervalStride-1)/SubIntervalStride)
-	for i := 0; i < len(pts); i += SubIntervalStride {
-		sub = append(sub, pts[i])
-	}
-	return sub
+	return s
 }
 
 // Bins returns the number of histogram bins (len(Points)+1).
@@ -209,14 +235,14 @@ func (iv Intervals) LocateBinary(v float32) int {
 }
 
 // LocateScan returns the bin index of value v using the paper's two-level
-// sub-interval scan: scan the coarse Sub array linearly (a predictable,
-// vectorizable loop), then scan the identified 32-wide window of Points.
+// sub-interval scan: scan the coarse Sub array linearly, then count the
+// points <= v in the identified 32-wide window of Points. It is the scalar
+// reference of the block kernel HistogramInto runs, and its fallback.
 func (iv Intervals) LocateScan(v float32) int {
 	sub := iv.Sub
-	// First-level scan: count sub-interval points <= v. Written as a
-	// pure counting loop (no early exit) over fixed-size blocks so the
-	// compiler can keep it branch-predictable, mirroring the SIMD compare+
-	// popcount idiom of the C++ code.
+	// First-level scan: count the sub-interval points <= v. The loop exits
+	// at the first point above v; on sorted, NaN-free boundaries that count
+	// equals the kernel's compare+popcount over all of Sub.
 	block := 0
 	for block < len(sub) && sub[block] <= v {
 		block++
@@ -255,15 +281,25 @@ func (iv Intervals) Histogram(coords []float32, dims, dim int, idx []int32, useS
 // merged in any order equal a single sequential pass — this is the mergeable
 // form the parallel construction passes build their per-worker local
 // histograms with.
+//
+// The scan path works in blocks of locateBlockLen values: it gathers the
+// block's dim-coordinates into a stack buffer first, a tight loop whose
+// cache misses overlap, then locates the whole block in one call.
 func (iv Intervals) HistogramInto(counts []int64, coords []float32, dims, dim int, idx []int32, useScan bool) {
-	if useScan {
-		for _, i := range idx {
-			counts[iv.LocateScan(coords[int(i)*dims+dim])]++
-		}
-	} else {
+	if !useScan {
 		for _, i := range idx {
 			counts[iv.LocateBinary(coords[int(i)*dims+dim])]++
 		}
+		return
+	}
+	var vals [locateBlockLen]float32
+	for len(idx) > 0 {
+		blk := idx[:min(len(idx), locateBlockLen)]
+		for j, i := range blk {
+			vals[j] = coords[int(i)*dims+dim]
+		}
+		iv.locateBlock(vals[:len(blk)], counts)
+		idx = idx[len(blk):]
 	}
 }
 

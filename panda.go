@@ -207,9 +207,14 @@ type TreeStats struct {
 // Build constructs a kd-tree over n = len(coords)/dims points stored
 // row-major in coords. ids, when non-nil, assigns each point the id
 // reported in query results (default: point index). coords is copied.
+// A NaN or ±Inf coordinate is an error: no finite box holds it, so neither
+// the query kernels' pruning nor a snapshot of the tree could.
 func Build(coords []float32, dims int, ids []int64, opts *BuildOptions) (*Tree, error) {
 	if dims <= 0 || len(coords)%dims != 0 {
 		return nil, fmt.Errorf("panda: %d coords is not a multiple of dims %d", len(coords), dims)
+	}
+	if !geom.AllFinite(coords) {
+		return nil, fmt.Errorf("panda: non-finite (NaN or ±Inf) coordinate")
 	}
 	kopts, err := opts.toInternal()
 	if err != nil {

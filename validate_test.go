@@ -81,6 +81,24 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 	}
 }
 
+// TestBuildNonFiniteRejected: Build refuses NaN and ±Inf coordinates. Such
+// a point fits no finite box, so the tree's snapshot would be unreadable
+// (OpenSnapshot rejects non-finite boxes) and its queries unprunable.
+func TestBuildNonFiniteRejected(t *testing.T) {
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		coords := []float32{
+			0, 0, 0,
+			1, 0, 0,
+			0, 1, 0,
+			1, 1, 1,
+		}
+		coords[7] = bad
+		if tree, err := Build(coords, 3, nil, nil); err == nil {
+			t.Fatalf("Build accepted coordinate %v (tree of %d points)", bad, tree.Len())
+		}
+	}
+}
+
 // TestDistQueryNonFiniteRejected: the SPMD distributed query path validates
 // too — a NaN query would otherwise be mis-routed by the global tree and
 // silently searched with pruning disabled. Crucially the rejection is
