@@ -52,9 +52,6 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 	if err := tree.WriteSnapshot(path); err != nil {
 		b.Fatal(err)
 	}
-	if st, err := os.Stat(path); err == nil {
-		b.ReportMetric(float64(st.Size()), "file-bytes")
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		warm, err := OpenSnapshot(path)
@@ -65,6 +62,10 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 			b.Fatal("short snapshot")
 		}
 		warm.Close()
+	}
+	// Reported after the loop: ResetTimer discards metrics reported before it.
+	if st, err := os.Stat(path); err == nil {
+		b.ReportMetric(float64(st.Size()), "file-bytes")
 	}
 }
 

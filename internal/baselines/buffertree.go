@@ -182,7 +182,7 @@ func (b *BufferTree) scanLeafBuffered(leaf int32, queued []*bufQuery) {
 		bound := bq.heap.MaxDist2()
 		for i, d := range dist {
 			if d < bound {
-				if bq.heap.Push(d, ids[i]) {
+				if bq.heap.Push(d, ids.At(i)) {
 					bound = bq.heap.MaxDist2()
 				}
 			}

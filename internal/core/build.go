@@ -82,6 +82,38 @@ func RestoreDistTree(global *GlobalTree, local *kdtree.Tree, rank int) (*DistTre
 // Dims returns the point dimensionality.
 func (dt *DistTree) Dims() int { return dt.dims }
 
+// agreeOnShards checks, in one collective before any build round, that
+// every rank's shard has the same dimensionality and only finite
+// coordinates. Every rank sees every rank's answer, so all of them return
+// the same error — naming the offending ranks — instead of a bad shard
+// failing alone and leaving its peers blocked in the first round.
+func agreeOnShards(c *cluster.Comm, pts geom.Points) error {
+	finite := uint32(0)
+	if geom.AllFinite(pts.Coords) {
+		finite = 1
+	}
+	parts := c.AllGather(wire.AppendUint32(wire.AppendInt32(nil, int32(pts.Dims)), finite))
+	var dims, nonFinite []int
+	for r, part := range parts {
+		d := wire.NewDecoder(part)
+		rd, rf := int(d.Int32()), d.Uint32()
+		mustDecode(&d, "shard check")
+		dims = append(dims, rd)
+		if rf == 0 {
+			nonFinite = append(nonFinite, r)
+		}
+	}
+	for _, d := range dims {
+		if d != dims[0] {
+			return fmt.Errorf("core: ranks disagree on dimensionality: %v (rank order)", dims)
+		}
+	}
+	if len(nonFinite) > 0 {
+		return fmt.Errorf("core: ranks %v hold NaN or infinite coordinates", nonFinite)
+	}
+	return nil
+}
+
 // BuildDistributed constructs the distributed kd-tree over each rank's
 // point shard (SPMD: every rank calls it with its own points). ids are
 // global point identifiers (nil derives rank-unique ids as
@@ -97,10 +129,8 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 	p, rank := c.Size(), c.Rank()
 	dims := pts.Dims
 
-	// Agree on dimensionality (and catch mismatched shards early).
-	agreed := c.AllReduceInt64([]int64{int64(dims), -int64(dims)}, "max")
-	if int(agreed[0]) != dims || int(-agreed[1]) != dims {
-		return nil, fmt.Errorf("core: rank %d has %d dims, cluster max %d", rank, dims, agreed[0])
+	if err := agreeOnShards(c, pts); err != nil {
+		return nil, err
 	}
 
 	if ids == nil {

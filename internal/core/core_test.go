@@ -177,7 +177,7 @@ func TestBuildDistributedConservesPoints(t *testing.T) {
 		seen := make(map[int64]int)
 		for _, dt := range trees {
 			total += dt.Local.Len()
-			for _, id := range dt.Local.IDs {
+			for _, id := range dt.Local.IDs().Int64s() {
 				seen[id]++
 			}
 		}

@@ -115,7 +115,7 @@ func TestDistributedBuildInvariantToRealWorkers(t *testing.T) {
 			for _, f := range raw.Coords {
 				buf = append(buf, byte(uint32(f)), byte(uint32(f)>>8))
 			}
-			for _, id := range raw.IDs {
+			for _, id := range raw.IDs.Int64s() {
 				buf = append(buf, byte(id), byte(id>>32))
 			}
 			locals[c.Rank()] = buf

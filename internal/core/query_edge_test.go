@@ -140,7 +140,7 @@ func TestBuildDistributedDefaultIDsUnique(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for _, id := range dt.Local.IDs {
+		for _, id := range dt.Local.IDs().Int64s() {
 			if seen[id] {
 				return fmt.Errorf("duplicate default id %d", id)
 			}

@@ -20,12 +20,8 @@ func (p Points) GatherPar(indices []int32, pool *par.Pool) Points {
 		return p.Gather(indices)
 	}
 	out := NewPoints(len(indices), p.Dims)
-	d := p.Dims
 	pool.ForChunks(len(indices), gatherChunk, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			src := int(indices[j]) * d
-			copy(out.Coords[j*d:(j+1)*d], p.Coords[src:src+d])
-		}
+		p.gatherRows(out, indices, lo, hi)
 	})
 	return out
 }

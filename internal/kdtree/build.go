@@ -32,8 +32,10 @@ const (
 )
 
 // Build constructs a kd-tree over pts. ids maps point index -> caller id and
-// may be nil, in which case point indices are used. pts is not modified; the
-// tree holds a packed copy (the paper's SIMD-packing step).
+// may be nil, in which case point indices are used. pts and ids are not
+// modified; the tree holds a packed copy (the paper's SIMD-packing step) and
+// its own id column (IDTable: 4 bytes per point unless the ids span 2^32 or
+// more values).
 //
 // Construction is wall-clock parallel: every stage fans out to a pool of
 // min(opts.Threads, GOMAXPROCS) real workers, and the produced tree —
@@ -46,12 +48,7 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	opts = opts.withDefaults()
 	n := pts.Len()
 	t := &Tree{opts: opts}
-	if ids == nil {
-		ids = make([]int64, n)
-		for i := range ids {
-			ids[i] = int64(i)
-		}
-	} else if len(ids) != n {
+	if ids != nil && len(ids) != n {
 		panic("kdtree: len(ids) != number of points")
 	}
 	if n == 0 {
@@ -90,13 +87,7 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	// disjoint destination rows, chunked over the pool.
 	pack := b.charger(PhasePack)
 	t.Points = pts.GatherPar(b.idx, b.pool)
-	packedIDs := make([]int64, n)
-	b.pool.ForChunks(n, packChunk, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			packedIDs[i] = ids[b.idx[i]]
-		}
-	})
-	t.IDs = packedIDs
+	t.ids = packIDs(ids, b.idx, b.pool)
 	pack.all(simtime.KPointMove, int64(n)*int64(pts.Dims)*4+int64(n)*8)
 
 	t.Box = geom.BoundingBoxPar(t.Points, b.pool)

@@ -1,6 +1,6 @@
 // Snapshot codec hook: the flat, serializable view of a built Tree.
 //
-// A built tree is five flat arrays (packed coords, ids, nodes, split
+// A built tree is five flat arrays (packed coords, id column, nodes, split
 // bounds, bounding box) plus a handful of scalars, which is what makes
 // zero-copy persistence possible: Raw exposes those arrays without copying,
 // and FromRaw reassembles a Tree around caller-provided arrays — slices of
@@ -41,7 +41,7 @@ var HostLittleEndian = func() bool {
 type Raw struct {
 	Dims   int
 	Coords []float32 // packed points, len = n*Dims
-	IDs    []int64   // packed position -> caller id, len = n
+	IDs    IDTable   // packed position -> caller id, Len = n
 	// NodesLE is the node array as little-endian NodeBytes-sized records:
 	// dim int32 (leaf = -1), median float32, left, right, start, end int32.
 	NodesLE     []byte
@@ -62,7 +62,7 @@ func (t *Tree) Raw() Raw {
 	return Raw{
 		Dims:        t.Points.Dims,
 		Coords:      t.Points.Coords,
-		IDs:         t.IDs,
+		IDs:         t.ids,
 		NodesLE:     encodeNodes(t.nodes),
 		SplitBounds: t.splitBounds,
 		BoxMin:      t.Box.Min,
@@ -125,6 +125,7 @@ func decodeNodes(raw []byte) []node {
 // FromRaw reassembles a Tree from its flat state, adopting the given slices
 // (zero-copy where the host allows it). Every structural invariant is
 // checked before the tree is returned: array lengths against each other,
+// one id form only, with a narrow table's base plus offsets inside int64,
 // node child/leaf index ranges, acyclicity, exact leaf partition of the
 // point range, finite coordinates inside a finite stored box, non-NaN
 // medians and split bounds, and the stored height/max-bucket metadata
@@ -140,8 +141,8 @@ func FromRaw(raw Raw) (*Tree, error) {
 		return nil, fmt.Errorf("kdtree: %d coords not a multiple of dims %d", len(raw.Coords), d)
 	}
 	n := len(raw.Coords) / d
-	if len(raw.IDs) != n {
-		return nil, fmt.Errorf("kdtree: %d ids for %d points", len(raw.IDs), n)
+	if err := raw.IDs.validate(n); err != nil {
+		return nil, err
 	}
 	if len(raw.NodesLE)%NodeBytes != 0 {
 		return nil, fmt.Errorf("kdtree: node section of %d bytes not a multiple of %d", len(raw.NodesLE), NodeBytes)
@@ -276,7 +277,7 @@ func FromRaw(raw Raw) (*Tree, error) {
 	}
 
 	t.Points = pts
-	t.IDs = raw.IDs
+	t.ids = raw.IDs
 	t.Box = geom.Box{Min: raw.BoxMin, Max: raw.BoxMax}
 	t.root = raw.Root
 	t.height = int(height)

@@ -105,7 +105,7 @@ func TestFromRawRejectsHostile(t *testing.T) {
 	tree := codecTree(t, 2000, 3)
 	base := tree.Raw()
 	nn := len(base.NodesLE) / NodeBytes
-	n := len(base.IDs)
+	n := base.IDs.Len()
 
 	cases := map[string]func() Raw{
 		"bad dims": func() Raw { r := base; r.Dims = 0; return r },
@@ -114,8 +114,23 @@ func TestFromRawRejectsHostile(t *testing.T) {
 			r.Coords = base.Coords[:len(base.Coords)-1]
 			return r
 		},
-		"ids mismatch": func() Raw { r := base; r.IDs = base.IDs[:n-1]; return r },
-		"root oob":     func() Raw { r := base; r.Root = int32(nn); return r },
+		"ids mismatch": func() Raw { r := base; r.IDs = base.IDs.Slice(0, n-1); return r },
+		"wide ids mismatch": func() Raw {
+			r := base
+			r.IDs = IDTable{Wide: base.IDs.Int64s()[:n-1]}
+			return r
+		},
+		"ids in both forms": func() Raw {
+			r := base
+			r.IDs.Wide = base.IDs.Int64s()
+			return r
+		},
+		"narrow ids overflow": func() Raw {
+			r := base
+			r.IDs.Base = math.MaxInt64 - 100
+			return r
+		},
+		"root oob": func() Raw { r := base; r.Root = int32(nn); return r },
 		"root negative": func() Raw {
 			r := base
 			r.Root = -1
@@ -168,7 +183,7 @@ func TestFromRawRejectsHostile(t *testing.T) {
 		"empty with nodes": func() Raw {
 			r := base
 			r.Coords = nil
-			r.IDs = nil
+			r.IDs = IDTable{}
 			return r
 		},
 	}

@@ -16,10 +16,12 @@ import (
 // Fingerprint hashes the tree content that determines query answers: dims,
 // point count, packed coordinates, ids, and the node array. Split bounds and
 // the bounding box are derived from those and excluded, so fingerprints stay
-// comparable even if derived-array encodings evolve.
+// comparable even if derived-array encodings evolve. Ids hash as their
+// logical little-endian int64 stream whichever IDTable form holds them, so a
+// narrow tree and a wide tree with the same ids fingerprint identically.
 func (r Raw) Fingerprint() uint64 {
 	h := fnv.New64a()
-	writeFingerprintHeader(h, r.Dims, len(r.IDs))
+	writeFingerprintHeader(h, r.Dims, r.IDs.Len())
 	var buf [4096]byte
 	for off := 0; off < len(r.Coords); {
 		n := 0
@@ -30,28 +32,21 @@ func (r Raw) Fingerprint() uint64 {
 		}
 		h.Write(buf[:n])
 	}
-	for off := 0; off < len(r.IDs); {
-		n := 0
-		for n+8 <= len(buf) && off < len(r.IDs) {
-			binary.LittleEndian.PutUint64(buf[n:], uint64(r.IDs[off]))
-			n += 8
-			off++
-		}
-		h.Write(buf[:n])
-	}
+	writeIDs(h, r.IDs, &buf)
 	h.Write(r.NodesLE)
 	return h.Sum64()
 }
 
 // FingerprintSections computes the same hash as Raw.Fingerprint from the
-// already-little-endian section bytes of a snapshot file (points, ids,
-// nodes), letting an inspector report the dataset id without materializing
-// the tree. count is the packed point count (len(ids)/8).
-func FingerprintSections(dims, count int, points, ids, nodes []byte) uint64 {
+// already-little-endian points and nodes section bytes of a snapshot file
+// and its decoded id column, letting an inspector report the dataset id
+// without materializing the tree.
+func FingerprintSections(dims int, points []byte, ids IDTable, nodes []byte) uint64 {
 	h := fnv.New64a()
-	writeFingerprintHeader(h, dims, count)
+	writeFingerprintHeader(h, dims, ids.Len())
 	h.Write(points)
-	h.Write(ids)
+	var buf [4096]byte
+	writeIDs(h, ids, &buf)
 	h.Write(nodes)
 	return h.Sum64()
 }
@@ -61,4 +56,18 @@ func writeFingerprintHeader(h io.Writer, dims, count int) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(dims))
 	binary.LittleEndian.PutUint64(hdr[4:12], uint64(count))
 	h.Write(hdr[:])
+}
+
+// writeIDs writes ids to h as little-endian int64s, staged through buf.
+func writeIDs(h io.Writer, ids IDTable, buf *[4096]byte) {
+	cnt := ids.Len()
+	for off := 0; off < cnt; {
+		n := 0
+		for n+8 <= len(buf) && off < cnt {
+			binary.LittleEndian.PutUint64(buf[n:], uint64(ids.At(off)))
+			n += 8
+			off++
+		}
+		h.Write(buf[:n])
+	}
 }

@@ -72,7 +72,7 @@ func (r *recursiveRef) walk(ni int32, d2 float32) {
 		b := r.bound()
 		for i, d := range dist {
 			if d < b {
-				if r.h.Push(d, r.t.IDs[lo+i]) {
+				if r.h.Push(d, r.t.ids.At(lo+i)) {
 					b = r.bound()
 				}
 			}

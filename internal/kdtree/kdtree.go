@@ -17,7 +17,8 @@
 //
 // Shuffling during construction moves only the 32-bit index array, never the
 // points — the paper's shared-memory optimization — until the final packing
-// pass.
+// pass. That array then stays on as the tree's id column (IDTable's narrow
+// form), so ids cost 4 bytes per point rather than 8.
 //
 // All three stages execute with real wall-clock parallelism on a bounded
 // worker pool (min(Options.Threads, GOMAXPROCS) workers): stage 1 runs each
@@ -163,9 +164,9 @@ const leafDim = int32(-1)
 type Tree struct {
 	// Points holds the bucket-packed points (leaf buckets contiguous).
 	Points geom.Points
-	// IDs maps packed position -> caller point id (global id in the
+	// ids maps packed position -> caller point id (global id in the
 	// distributed setting; original index otherwise).
-	IDs []int64
+	ids IDTable
 	// Box is the bounding box of the points (tight).
 	Box geom.Box
 
@@ -224,6 +225,10 @@ func (t *Tree) Height() int { return t.height }
 
 // MaxBucket returns the largest leaf size (cached at Build).
 func (t *Tree) MaxBucket() int { return t.maxBucket }
+
+// IDs returns the tree's id column (aliasing tree storage; callers must not
+// modify it).
+func (t *Tree) IDs() IDTable { return t.ids }
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.Points.Len() }

@@ -130,8 +130,8 @@ func TestBuildDeterministicAcrossThreadCounts(t *testing.T) {
 			t.Fatalf("node %d differs between identical builds", i)
 		}
 	}
-	for i := range a.IDs {
-		if a.IDs[i] != b.IDs[i] {
+	for i := range a.ids.Len() {
+		if a.ids.At(i) != b.ids.At(i) {
 			t.Fatal("packing order differs between identical builds")
 		}
 	}

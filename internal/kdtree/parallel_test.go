@@ -96,12 +96,13 @@ func rawEqual(t *testing.T, name string, a, b Raw) {
 	f32Equal("splitBounds", a.SplitBounds, b.SplitBounds)
 	f32Equal("boxMin", a.BoxMin, b.BoxMin)
 	f32Equal("boxMax", a.BoxMax, b.BoxMax)
-	if len(a.IDs) != len(b.IDs) {
-		t.Fatalf("%s: id count %d vs %d", name, len(a.IDs), len(b.IDs))
+	if a.IDs.Len() != b.IDs.Len() || a.IDs.Narrow() != b.IDs.Narrow() || a.IDs.Base != b.IDs.Base {
+		t.Fatalf("%s: id tables differ in shape: %d/%v/%d vs %d/%v/%d", name,
+			a.IDs.Len(), a.IDs.Narrow(), a.IDs.Base, b.IDs.Len(), b.IDs.Narrow(), b.IDs.Base)
 	}
-	for i := range a.IDs {
-		if a.IDs[i] != b.IDs[i] {
-			t.Fatalf("%s: ids[%d] = %d vs %d", name, i, a.IDs[i], b.IDs[i])
+	for i := range a.IDs.Len() {
+		if a.IDs.At(i) != b.IDs.At(i) {
+			t.Fatalf("%s: ids[%d] = %d vs %d", name, i, a.IDs.At(i), b.IDs.At(i))
 		}
 	}
 }

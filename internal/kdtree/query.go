@@ -262,7 +262,7 @@ func (s *Searcher) scanLeaf(n *node) {
 		return
 	}
 	coords := s.t.Points.Coords
-	ids := s.t.IDs
+	ids := &s.t.ids
 	b := s.b
 	r2cap := s.r2cap
 	pushes := int64(0)
@@ -273,7 +273,7 @@ func (s *Searcher) scanLeaf(n *node) {
 			i := bits.TrailingZeros64(m)
 			if d := dist[i]; d < b {
 				var ok bool
-				if ok, b = s.h.PushBound(d, ids[c+i], r2cap); ok {
+				if ok, b = s.h.PushBound(d, ids.At(c+i), r2cap); ok {
 					pushes++
 				}
 			}
@@ -290,7 +290,7 @@ func (s *Searcher) scanLeaf(n *node) {
 func (s *Searcher) scanLeaf2(lo, hi int) {
 	q0, q1 := s.q[0], s.q[1]
 	coords := s.t.Points.Coords
-	ids := s.t.IDs
+	ids := &s.t.ids
 	h := s.h
 	b := s.b
 	r2cap := s.r2cap
@@ -302,7 +302,7 @@ func (s *Searcher) scanLeaf2(lo, hi int) {
 		d := d0*d0 + d1*d1
 		if d < b {
 			var ok bool
-			if ok, b = h.PushBound(d, ids[i], r2cap); ok {
+			if ok, b = h.PushBound(d, ids.At(i), r2cap); ok {
 				pushes++
 			}
 		}
@@ -314,7 +314,7 @@ func (s *Searcher) scanLeaf2(lo, hi int) {
 func (s *Searcher) scanLeaf3(lo, hi int) {
 	q0, q1, q2 := s.q[0], s.q[1], s.q[2]
 	coords := s.t.Points.Coords
-	ids := s.t.IDs
+	ids := &s.t.ids
 	h := s.h
 	b := s.b
 	r2cap := s.r2cap
@@ -335,13 +335,13 @@ func (s *Searcher) scanLeaf3(lo, hi int) {
 		df := f0*f0 + f1*f1 + f2*f2
 		if de < b {
 			var ok bool
-			if ok, b = h.PushBound(de, ids[i], r2cap); ok {
+			if ok, b = h.PushBound(de, ids.At(i), r2cap); ok {
 				pushes++
 			}
 		}
 		if df < b {
 			var ok bool
-			if ok, b = h.PushBound(df, ids[i+1], r2cap); ok {
+			if ok, b = h.PushBound(df, ids.At(i+1), r2cap); ok {
 				pushes++
 			}
 		}
@@ -354,7 +354,7 @@ func (s *Searcher) scanLeaf3(lo, hi int) {
 		d := d0*d0 + d1*d1 + d2*d2
 		if d < b {
 			var ok bool
-			if ok, b = h.PushBound(d, ids[i], r2cap); ok {
+			if ok, b = h.PushBound(d, ids.At(i), r2cap); ok {
 				pushes++
 			}
 		}

@@ -155,7 +155,7 @@ func (s *Searcher) radiusScanLeaf(n *node, collect bool, out []Neighbor, total i
 		if d < s.r2cap {
 			total++
 			if collect {
-				out = append(out, Neighbor{ID: s.t.IDs[lo+i], Dist2: d})
+				out = append(out, Neighbor{ID: s.t.ids.At(lo + i), Dist2: d})
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func (s *Searcher) radiusScanMask(lo, hi int, collect bool, out []Neighbor, tota
 		total += bits.OnesCount64(m)
 		for ; collect && m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			out = append(out, Neighbor{ID: s.t.IDs[c+i], Dist2: dist[i]})
+			out = append(out, Neighbor{ID: s.t.ids.At(c + i), Dist2: dist[i]})
 		}
 	}
 	return out, total

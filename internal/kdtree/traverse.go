@@ -28,11 +28,11 @@ func (t *Tree) NodeInfo(ni int32) (dim int, median float32, left, right int32, i
 // LeafPoints returns the packed points and ids of leaf ni (empty when ni is
 // not a leaf). The returned values alias tree storage; callers must not
 // modify them.
-func (t *Tree) LeafPoints(ni int32) (geom.Points, []int64) {
+func (t *Tree) LeafPoints(ni int32) (geom.Points, IDTable) {
 	n := &t.nodes[ni]
 	if n.dim != leafDim {
-		return geom.Points{Dims: t.Points.Dims}, nil
+		return geom.Points{Dims: t.Points.Dims}, IDTable{}
 	}
 	lo, hi := int(n.start), int(n.end)
-	return t.Points.Slice(lo, hi), t.IDs[lo:hi]
+	return t.Points.Slice(lo, hi), t.ids.Slice(lo, hi)
 }

@@ -25,11 +25,11 @@ func TestNodeInfoAndLeafPointsCoverTree(t *testing.T) {
 		dim, median, left, right, isLeaf := tr.NodeInfo(ni)
 		if isLeaf {
 			pts, ids := tr.LeafPoints(ni)
-			if pts.Len() != len(ids) {
+			if pts.Len() != ids.Len() {
 				t.Fatal("leaf points/ids length mismatch")
 			}
-			for _, id := range ids {
-				seen[id]++
+			for i := range ids.Len() {
+				seen[ids.At(i)]++
 			}
 			return
 		}
@@ -59,7 +59,7 @@ func TestLeafPointsOnInternalNode(t *testing.T) {
 		t.Skip("tree degenerated to a single leaf")
 	}
 	pts, ids := tr.LeafPoints(root)
-	if pts.Len() != 0 || ids != nil {
+	if pts.Len() != 0 || ids.Len() != 0 {
 		t.Fatal("LeafPoints on internal node must be empty")
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 // header is the decoded fixed header.
 type header struct {
+	version      uint32
 	sectionCount uint32
 	fileSize     uint64
 	dims         int
@@ -44,8 +45,9 @@ func parseHeader(data []byte) (header, error) {
 		return h, errCorrupt("bad magic %q", data[0:4])
 	}
 	le := binary.LittleEndian
-	if v := le.Uint32(data[4:]); v != Version {
-		return h, errCorrupt("unsupported version %d (this build reads %d)", v, Version)
+	h.version = le.Uint32(data[4:])
+	if h.version != 1 && h.version != Version {
+		return h, errCorrupt("unsupported version %d (this build reads 1 and %d)", h.version, Version)
 	}
 	if hs := le.Uint32(data[8:]); hs != headerSize {
 		return h, errCorrupt("header size %d, want %d", hs, headerSize)
@@ -169,6 +171,33 @@ func section(secs map[uint32][]byte, id uint32, wantLen uint64) ([]byte, error) 
 	return b, nil
 }
 
+// idSection fetches the file's one id section and checks its exact length:
+// ids (wide) or, from version 2 on, ids32 (narrow).
+func idSection(secs map[uint32][]byte, h header) (b []byte, narrow bool, err error) {
+	_, wide := secs[secIDs]
+	_, narrow = secs[secIDs32]
+	switch {
+	case wide && narrow:
+		return nil, false, errCorrupt("both ids and ids32 sections present")
+	case narrow:
+		b, err = section(secs, secIDs32, 8+h.pointCount*4)
+	default:
+		b, err = section(secs, secIDs, h.pointCount*8)
+	}
+	return b, narrow, err
+}
+
+// decodeIDs turns an id section into an id table, zero-copy on the same
+// terms as asUint32s. The bool reports zero-copy.
+func decodeIDs(b []byte, narrow, forceCopy bool) (kdtree.IDTable, bool) {
+	if !narrow {
+		wide, ok := asInt64s(b, forceCopy)
+		return kdtree.IDTable{Wide: wide}, ok
+	}
+	off, ok := asUint32s(b[8:], forceCopy)
+	return kdtree.IDTable{Base: int64(binary.LittleEndian.Uint64(b)), Offsets: off}, ok
+}
+
 // Decode validates data as a snapshot file and returns its content. With
 // forceCopy false (the mmap path), the large sections are returned as
 // zero-copy reinterpretations of data wherever the host allows it
@@ -192,6 +221,10 @@ func Decode(data []byte, forceCopy bool) (*Snapshot, error) {
 	for id := range secs {
 		switch id {
 		case secPoints, secIDs, secNodes, secSplitBounds, secBox, secCluster:
+		case secIDs32:
+			if h.version == 1 {
+				return nil, errCorrupt("ids32 section in a version 1 file")
+			}
 		default:
 			return nil, errCorrupt("unknown section %d", id)
 		}
@@ -202,7 +235,7 @@ func Decode(data []byte, forceCopy bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	idsB, err := section(secs, secIDs, h.pointCount*8)
+	idsB, narrow, err := idSection(secs, h)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +256,7 @@ func Decode(data []byte, forceCopy bool) (*Snapshot, error) {
 	var ok bool
 	coords, ok := asFloat32s(ptsB, forceCopy)
 	s.ZeroCopy = s.ZeroCopy && ok
-	ids, ok := asInt64s(idsB, forceCopy)
+	ids, ok := decodeIDs(idsB, narrow, forceCopy)
 	s.ZeroCopy = s.ZeroCopy && ok
 	sb, ok := asFloat32s(sbB, forceCopy)
 	s.ZeroCopy = s.ZeroCopy && ok
@@ -311,22 +344,31 @@ func parseCluster(b []byte, dims int) (*ClusterMeta, error) {
 	return m, nil
 }
 
-// asFloat32s reinterprets b as float32s without copying when the host
-// allows it (little-endian, 4-byte-aligned base) and copying is not forced;
+// asUint32s reinterprets b as uint32s without copying when the host allows
+// it (little-endian, 4-byte-aligned base) and copying is not forced;
 // otherwise it converts into a fresh slice. The bool reports zero-copy.
-func asFloat32s(b []byte, forceCopy bool) ([]float32, bool) {
+func asUint32s(b []byte, forceCopy bool) ([]uint32, bool) {
 	n := len(b) / 4
 	if n == 0 {
 		return nil, true
 	}
 	if !forceCopy && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n), true
+		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n), true
 	}
-	out := make([]float32, n)
+	out := make([]uint32, n)
 	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		out[i] = binary.LittleEndian.Uint32(b[i*4:])
 	}
 	return out, false
+}
+
+// asFloat32s is asUint32s for float32 sections.
+func asFloat32s(b []byte, forceCopy bool) ([]float32, bool) {
+	u, ok := asUint32s(b, forceCopy)
+	if len(u) == 0 {
+		return nil, ok
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&u[0])), len(u)), ok
 }
 
 // asInt64s is asFloat32s for int64 sections (8-byte alignment).
@@ -391,7 +433,7 @@ func ReadInfo(path string) (*Info, error) {
 		return nil, err
 	}
 	info := &Info{
-		Version:    Version,
+		Version:    h.version,
 		FileSize:   h.fileSize,
 		Dims:       h.dims,
 		Points:     h.pointCount,
@@ -407,10 +449,11 @@ func ReadInfo(path string) (*Info, error) {
 	// loading this file will advertise. Only computable when all three data
 	// sections carry their declared sizes.
 	ptsB, perr := section(secs, secPoints, h.pointCount*uint64(h.dims)*4)
-	idsB, ierr := section(secs, secIDs, h.pointCount*8)
+	idsB, narrow, ierr := idSection(secs, h)
 	nodesB, nerr := section(secs, secNodes, h.nodeCount*kdtree.NodeBytes)
 	if perr == nil && ierr == nil && nerr == nil {
-		info.Fingerprint = kdtree.FingerprintSections(h.dims, int(h.pointCount), ptsB, idsB, nodesB)
+		ids, _ := decodeIDs(idsB, narrow, false)
+		info.Fingerprint = kdtree.FingerprintSections(h.dims, ptsB, ids, nodesB)
 	}
 	for _, si := range infos {
 		if si.ID == secCluster {

@@ -17,15 +17,26 @@
 // Sections (lengths must match the header's counts exactly):
 //
 //	1 points       pointCount×dims float32 — bucket-packed coordinates
-//	2 ids          pointCount int64        — packed position -> caller id
+//	2 ids          pointCount int64        — packed position -> caller id (wide)
+//	7 ids32        int64 + pointCount×uint32 — base, then per-point offsets (narrow)
 //	3 nodes        nodeCount×24 byte       — kdtree node records (see kdtree.Raw)
 //	4 splitbounds  nodeCount×4 float32     — per-node pruning intervals
 //	5 box          2×dims float32          — tight bounding box (min, max)
 //	6 cluster      variable (optional)     — rank, ranks, total points, global tree
 //
-// The section table's job is alignment and optionality (the cluster
-// section); it is not a compatibility mechanism — unknown section ids are
-// an error, and format evolution bumps the version.
+// A file holds exactly one id section, matching the tree's kdtree.IDTable
+// form: ids32 (id = base + offset, 4 bytes per point) when the ids span
+// fewer than 2^32 values, ids otherwise. The section table's job is
+// alignment and optionality (the cluster section, the id form); it is not
+// a compatibility mechanism — unknown section ids are an error, and format
+// evolution bumps the version.
+//
+// # Versions
+//
+// Version 2 added the ids32 section; it is the only version written.
+// Version 1 files carry the ids section only and still open, on both the
+// mmap and the copying path, as trees with a wide id table. Readers of
+// version 1 alone cannot open version 2 files.
 //
 // # Zero-copy contract
 //
@@ -56,8 +67,9 @@ var (
 	TrailerMagic = [4]byte{'P', 'N', 'D', 'E'}
 )
 
-// Version is the snapshot format version this package reads and writes.
-const Version = 1
+// Version is the snapshot format version this package writes. It reads
+// this version and version 1.
+const Version = 2
 
 // ShardFile names shard s's snapshot inside a cluster snapshot directory.
 func ShardFile(dir string, s int) string {
@@ -82,6 +94,7 @@ const (
 	secSplitBounds = 4
 	secBox         = 5
 	secCluster     = 6
+	secIDs32       = 7
 )
 
 // sectionName labels section ids for inspect output.
@@ -99,6 +112,8 @@ func sectionName(id uint32) string {
 		return "box"
 	case secCluster:
 		return "cluster"
+	case secIDs32:
+		return "ids32"
 	default:
 		return fmt.Sprintf("unknown(%d)", id)
 	}

@@ -314,8 +314,8 @@ func TestWriteFileAtomicOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Raw.Dims != 2 || len(s2.Raw.IDs) != 1234 {
-		t.Fatalf("reopened snapshot has %d points of dim %d, want the replacement", len(s2.Raw.IDs), s2.Raw.Dims)
+	if s2.Raw.Dims != 2 || s2.Raw.IDs.Len() != 1234 {
+		t.Fatalf("reopened snapshot has %d points of dim %d, want the replacement", s2.Raw.IDs.Len(), s2.Raw.Dims)
 	}
 	// No temp droppings left behind.
 	ents, err := os.ReadDir(filepath.Dir(path))

@@ -41,7 +41,7 @@ func OpenChunkSource(path string) (*ChunkSource, error) {
 	}
 	if st.Size() > maxStreamFile {
 		f.Close()
-		return nil, fmt.Errorf("snapshot: %s is %d bytes, beyond the %d streaming cap", path, st.Size(), maxStreamFile)
+		return nil, fmt.Errorf("snapshot: %s is %d bytes, beyond the %d streaming cap", path, st.Size(), int64(maxStreamFile))
 	}
 	return &ChunkSource{f: f, size: st.Size()}, nil
 }

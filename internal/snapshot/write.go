@@ -98,7 +98,7 @@ func write(f io.Writer, d *Data) error {
 	if raw.Dims <= 0 || raw.Dims > maxDims {
 		return fmt.Errorf("snapshot: dims %d out of range", raw.Dims)
 	}
-	n := len(raw.IDs)
+	n := raw.IDs.Len()
 	if len(raw.Coords) != n*raw.Dims {
 		return fmt.Errorf("snapshot: %d coords for %d points of dim %d", len(raw.Coords), n, raw.Dims)
 	}
@@ -135,9 +135,13 @@ func write(f io.Writer, d *Data) error {
 		flags |= flagCluster
 	}
 
+	idSec := layoutSection{id: secIDs, len: uint64(n) * 8}
+	if raw.IDs.Narrow() {
+		idSec = layoutSection{id: secIDs32, len: 8 + uint64(n)*4}
+	}
 	secs := []layoutSection{
 		{id: secPoints, len: uint64(len(raw.Coords)) * 4},
-		{id: secIDs, len: uint64(n) * 8},
+		idSec,
 		{id: secNodes, len: uint64(len(raw.NodesLE))},
 		{id: secSplitBounds, len: uint64(len(raw.SplitBounds)) * 4},
 		{id: secBox, len: uint64(len(box)) * 4},
@@ -206,7 +210,11 @@ func write(f io.Writer, d *Data) error {
 		case secPoints:
 			err = writeFloat32s(bw, raw.Coords)
 		case secIDs:
-			err = writeInt64s(bw, raw.IDs)
+			err = writeInt64s(bw, raw.IDs.Wide)
+		case secIDs32:
+			if err = writeInt64s(bw, []int64{raw.IDs.Base}); err == nil {
+				err = writeUint32s(bw, raw.IDs.Offsets)
+			}
 		case secNodes:
 			_, err = bw.Write(raw.NodesLE)
 		case secSplitBounds:
@@ -272,6 +280,14 @@ func writeFloat32s(w io.Writer, vals []float32) error {
 	if len(vals) == 0 {
 		return nil
 	}
+	return writeUint32s(w, unsafe.Slice((*uint32)(unsafe.Pointer(&vals[0])), len(vals)))
+}
+
+// writeUint32s is writeFloat32s for uint32 sections.
+func writeUint32s(w io.Writer, vals []uint32) error {
+	if len(vals) == 0 {
+		return nil
+	}
 	if hostLittleEndian {
 		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*4))
 		return err
@@ -280,7 +296,7 @@ func writeFloat32s(w io.Writer, vals []float32) error {
 	for off := 0; off < len(vals); off += 4096 {
 		end := min(off+4096, len(vals))
 		for i, v := range vals[off:end] {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(buf[i*4:], v)
 		}
 		if _, err := w.Write(buf[:(end-off)*4]); err != nil {
 			return err

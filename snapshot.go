@@ -125,6 +125,10 @@ type clusterManifest struct {
 
 const manifestFormat = "panda-cluster-snapshot"
 
+// manifestVersion is the manifest's own format version, independent of the
+// PNDS version of the shard files beside it.
+const manifestVersion = 1
+
 // DefaultReplication is the replication factor DistTree.WriteSnapshot
 // records when not told otherwise (clamped to the rank count): every shard
 // on its own rank plus one cyclic successor, the cheapest placement that
@@ -140,7 +144,7 @@ func parseClusterManifest(data []byte) (*clusterManifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("panda: cluster manifest: %w", err)
 	}
-	if m.Format != manifestFormat || m.Version != snapshot.Version {
+	if m.Format != manifestFormat || m.Version != manifestVersion {
 		return nil, fmt.Errorf("panda: cluster manifest format %q version %d not supported", m.Format, m.Version)
 	}
 	if m.Ranks < 1 || m.Ranks >= proto.ManifestShard {
@@ -219,7 +223,7 @@ func (t *DistTree) WriteSnapshotReplicated(dir string, replication int) error {
 		replication = ranks
 	}
 	m, err := json.MarshalIndent(clusterManifest{
-		Format: manifestFormat, Version: snapshot.Version,
+		Format: manifestFormat, Version: manifestVersion,
 		Ranks: ranks, Dims: dims, TotalPoints: total,
 		Replication: replication,
 		Replicas:    core.BuildReplicaSets(ranks, replication),

@@ -2,7 +2,9 @@ package panda
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestNonFiniteQueryRejected covers every public query entry point against
@@ -96,6 +98,45 @@ func TestBuildNonFiniteRejected(t *testing.T) {
 		if tree, err := Build(coords, 3, nil, nil); err == nil {
 			t.Fatalf("Build accepted coordinate %v (tree of %d points)", bad, tree.Len())
 		}
+	}
+}
+
+// TestNodeBuildNonFiniteRejected: the distributed build checks finiteness
+// collectively. Only rank 0's shard holds a NaN, yet both ranks must return
+// the same error naming rank 0, and neither may block waiting for the other.
+func TestNodeBuildNonFiniteRejected(t *testing.T) {
+	errs := make([]error, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunCluster(2, 1, func(n *Node) error {
+			coords := make([]float32, 60)
+			for i := range coords {
+				coords[i] = float32(i%10) * 0.1
+			}
+			if n.Rank() == 0 {
+				coords[7] = float32(math.NaN())
+			}
+			_, errs[n.Rank()] = n.Build(coords, 3, nil, nil)
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("distributed build with a NaN shard did not return")
+	}
+	if errs[0] == nil || errs[1] == nil {
+		t.Fatalf("distributed build accepted a NaN shard: rank errors %v, %v", errs[0], errs[1])
+	}
+	if errs[0].Error() != errs[1].Error() {
+		t.Fatalf("ranks disagree: %q vs %q", errs[0], errs[1])
+	}
+	if !strings.Contains(errs[0].Error(), "ranks [0]") {
+		t.Fatalf("error %q does not name rank 0", errs[0])
 	}
 }
 
