@@ -5,9 +5,9 @@ package geom
 // per-dimensionality specializations (2-D…10-D, covering the paper's
 // particle and Daya Bay workloads) keep the query coordinates in registers
 // instead of re-walking a generic per-coordinate loop. These pure-Go
-// kernels serve the baselines and back Dist2MaskGo; the kd-tree's ≥4-D leaf
-// scans call Dist2Mask (dist2mask.go), which runs an AVX2 kernel where the
-// CPU has one.
+// kernels serve the baselines and back Dist2MaskGo; the kd-tree's leaf
+// scans call Dist2Mask (dist2mask.go) at every dimensionality, which runs
+// an AVX2 kernel where the CPU has one.
 //
 // Every kernel accumulates per-point sums in the same left-to-right order as
 // the scalar Dist2 reference, so results are bit-identical to it — the

@@ -88,7 +88,11 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	pack := b.charger(PhasePack)
 	t.Points = pts.GatherPar(b.idx, b.pool)
 	t.ids = packIDs(ids, b.idx, b.pool)
-	pack.all(simtime.KPointMove, int64(n)*int64(pts.Dims)*4+int64(n)*8)
+	idBytes := int64(8) // the wide table moves an int64 per id, the narrow one a uint32
+	if t.ids.Narrow() {
+		idBytes = 4
+	}
+	pack.all(simtime.KPointMove, int64(n)*(int64(pts.Dims)*4+idBytes))
 
 	t.Box = geom.BoundingBoxPar(t.Points, b.pool)
 	t.computeNodeBoxes(b.pool)

@@ -17,9 +17,9 @@ type leafRun struct {
 	stats  []QueryStats
 }
 
-// runLeafKernel answers qs on tr with kernel as the ≥4-D leaf kernel: KNN
-// at k = 1, 5, 32 (unbounded and capped at the k=32 answer's 16th
-// distance), radius search and CountWithin at that same radius.
+// runLeafKernel answers qs on tr with kernel as the leaf kernel: KNN at
+// k = 1, 5, 32 (unbounded and capped at the k=32 answer's 16th distance),
+// radius search and CountWithin at that same radius.
 func runLeafKernel(tr *Tree, qs geom.Points, kernel func(q, pts, out []float32, bound float32) uint64) leafRun {
 	saved := leafMask
 	leafMask = kernel
@@ -50,71 +50,87 @@ func runLeafKernel(tr *Tree, qs geom.Points, kernel func(q, pts, out []float32, 
 	return r
 }
 
-// TestLeafKernelSIMDMatchesGo: on a 10-D dayabay tree, the dispatching leaf
-// kernel (AVX2 where the CPU has it) and the pure-Go kernel give identical
-// KNN and radius answers and identical QueryStats — the mask walk pushes
-// the same candidates in the same order. Buckets of 100 points also run
-// the 64-point block split.
+// TestLeafKernelSIMDMatchesGo: on a 10-D dayabay, a 3-D cosmo and a 2-D
+// uniform tree, the dispatching leaf kernel (AVX2 where the CPU has it) and
+// the pure-Go kernel give identical KNN and radius answers and identical
+// QueryStats — the mask walk pushes the same candidates in the same order.
+// Buckets of 100 points also run the 64-point block split.
 func TestLeafKernelSIMDMatchesGo(t *testing.T) {
-	d, err := data.ByName("dayabay", 20000, 3)
-	if err != nil {
-		t.Fatal(err)
+	byName := func(name string, n int, seed uint64) data.Dataset {
+		d, err := data.ByName(name, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	queries, err := data.ByName("dayabay", 300, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Half the queries are indexed points (distance-0 hits and ties).
-	qs := geom.Points{Dims: d.Points.Dims}
-	qs.Coords = append(append(qs.Coords, queries.Points.Coords...), d.Points.Coords[:150*d.Points.Dims]...)
-	for _, bucket := range []int{0, 100} {
-		tr := Build(d.Points, nil, Options{Threads: 2, BucketSize: bucket})
-		simd := runLeafKernel(tr, qs, geom.Dist2Mask)
-		pure := runLeafKernel(tr, qs, geom.Dist2MaskGo)
-		if !reflect.DeepEqual(simd, pure) {
-			for i := range simd.stats {
-				if simd.stats[i] != pure.stats[i] {
-					t.Fatalf("bucket %d: call %d stats %+v, pure Go %+v", bucket, i, simd.stats[i], pure.stats[i])
+	for _, tc := range []struct {
+		name         string
+		pts, queries data.Dataset
+	}{
+		{"dayabay10d", byName("dayabay", 20000, 3), byName("dayabay", 300, 99)},
+		{"cosmo3d", byName("cosmo", 20000, 3), byName("cosmo", 300, 99)},
+		{"uniform2d", data.Uniform(20000, 2, 3), data.Uniform(300, 2, 99)},
+	} {
+		d := tc.pts.Points
+		// Half the queries are indexed points (distance-0 hits and ties).
+		qs := geom.Points{Dims: d.Dims}
+		qs.Coords = append(append(qs.Coords, tc.queries.Points.Coords...), d.Coords[:150*d.Dims]...)
+		for _, bucket := range []int{0, 100} {
+			tr := Build(d, nil, Options{Threads: 2, BucketSize: bucket})
+			simd := runLeafKernel(tr, qs, geom.Dist2Mask)
+			pure := runLeafKernel(tr, qs, geom.Dist2MaskGo)
+			if !reflect.DeepEqual(simd, pure) {
+				for i := range simd.stats {
+					if simd.stats[i] != pure.stats[i] {
+						t.Fatalf("%s bucket %d: call %d stats %+v, pure Go %+v", tc.name, bucket, i, simd.stats[i], pure.stats[i])
+					}
 				}
+				t.Fatalf("%s bucket %d: answers differ between the SIMD and pure-Go leaf kernels", tc.name, bucket)
 			}
-			t.Fatalf("bucket %d: answers differ between the SIMD and pure-Go leaf kernels", bucket)
 		}
 	}
 }
 
-// BenchmarkRadius10D times the ≥4-D radius leaf scan: RadiusSearch and
-// CountWithin on a 100k-point 10-D dayabay tree, each query at the radius
-// of its 32nd nearest neighbour.
-func BenchmarkRadius10D(b *testing.B) {
-	d, err := data.ByName("dayabay", 100000, 3)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkRadius times the radius leaf step: RadiusSearch and CountWithin
+// on a 100k-point tree, each query at the radius of its 32nd nearest
+// neighbour, on 3-D cosmo and 10-D dayabay.
+func BenchmarkRadius(b *testing.B) {
+	for _, tc := range []struct{ name, dataset string }{
+		{"3d", "cosmo"},
+		{"10d", "dayabay"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			d, err := data.ByName(tc.dataset, 100000, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries, err := data.ByName(tc.dataset, 1000, 99)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := Build(d.Points, nil, Options{Threads: 2})
+			s := tr.NewSearcher()
+			qs := queries.Points
+			r2 := make([]float32, qs.Len())
+			for i := range r2 {
+				res, _ := s.Search(qs.At(i), 32, Inf2, nil)
+				r2[i] = res[31].Dist2
+			}
+			b.Run("radius", func(b *testing.B) {
+				var out []Neighbor
+				i := 0
+				for b.Loop() {
+					out, _ = s.RadiusSearch(qs.At(i), r2[i], out[:0])
+					i = (i + 1) % len(r2)
+				}
+			})
+			b.Run("count", func(b *testing.B) {
+				i := 0
+				for b.Loop() {
+					s.CountWithin(qs.At(i), r2[i])
+					i = (i + 1) % len(r2)
+				}
+			})
+		})
 	}
-	queries, err := data.ByName("dayabay", 1000, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := Build(d.Points, nil, Options{Threads: 2})
-	s := tr.NewSearcher()
-	qs := queries.Points
-	r2 := make([]float32, qs.Len())
-	for i := range r2 {
-		res, _ := s.Search(qs.At(i), 32, Inf2, nil)
-		r2[i] = res[31].Dist2
-	}
-	b.Run("radius", func(b *testing.B) {
-		var out []Neighbor
-		i := 0
-		for b.Loop() {
-			out, _ = s.RadiusSearch(qs.At(i), r2[i], out[:0])
-			i = (i + 1) % len(r2)
-		}
-	})
-	b.Run("count", func(b *testing.B) {
-		i := 0
-		for b.Loop() {
-			s.CountWithin(qs.At(i), r2[i])
-			i = (i + 1) % len(r2)
-		}
-	})
 }

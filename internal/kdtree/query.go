@@ -13,13 +13,19 @@ import (
 // default r = ∞).
 const Inf2 = float32(math.MaxFloat32)
 
-// Searcher holds the reusable per-thread state for KNN queries against one
-// tree: the candidate heap, the per-dimension offset vector for incremental
-// distance bounds, the leaf-scan scratch buffer, and the explicit traversal
-// stack. A Searcher is not safe for concurrent use; create one per goroutine
-// (PANDA's batched query loop keeps one per worker thread). After the first
-// query, a Searcher performs no steady-state allocations: every query reuses
-// the same heap storage, stack, and scratch buffers.
+// Searcher holds the reusable per-thread state for queries against one
+// tree: the candidate heap, the leaf-scan scratch buffer, the explicit
+// traversal stack, and the radius-search output. A Searcher is not safe for
+// concurrent use; create one per goroutine (PANDA's batched query loop keeps
+// one per worker thread). After the first query, a Searcher performs no
+// steady-state allocations: every query reuses the same heap storage,
+// stack, and scratch buffers.
+//
+// All three entry points run one walk, searchIter, and differ only in the
+// pruning bound and the leaf step: Search pushes candidates into the heap
+// under a bound that shrinks as the heap fills (Algorithm 1), while
+// RadiusSearch and CountWithin keep the bound fixed at r2 and collect or
+// count every point below it.
 type Searcher struct {
 	// Meter, when non-nil, accumulates work units (distance evals, node
 	// visits, heap pushes) for the simulated-time model.
@@ -30,14 +36,28 @@ type Searcher struct {
 	scratch []float32
 	stack   []frame
 	r2cap   float32
-	// b caches the current pruning radius r'^2 = min(heap max, r2cap);
-	// it only shrinks during a query, and only leaf scans shrink it, so
-	// traversal reads this field instead of re-deriving the bound at
-	// every node.
+	// b caches the current pruning radius r'^2: min(heap max, r2cap) for
+	// Search, r2 for the radius walks. It only shrinks during a query, and
+	// only leaf scans shrink it, so traversal reads this field instead of
+	// re-deriving the bound at every node.
 	b     float32
 	q     []float32
 	stats QueryStats
+	// step is the leaf step the entry point chose; out and count are the
+	// radius steps' results.
+	step  leafStep
+	out   []Neighbor
+	count int
 }
+
+// leafStep selects what searchIter does at a leaf.
+type leafStep uint8
+
+const (
+	knnStep     leafStep = iota // push candidates into the heap (Search)
+	collectStep                 // append every point below r2 to out (RadiusSearch)
+	countStep                   // count every point below r2 (CountWithin)
+)
 
 // frame is one deferred far child on the explicit traversal stack: visit
 // node, whose region (tight bounding box) is at squared distance d2 from
@@ -81,53 +101,43 @@ func (t *Tree) KNN(q []float32, k int) []Neighbor {
 // performs zero allocations — the batched engine relies on this by handing
 // each query a pre-sized slot of one flat arena as out.
 func (s *Searcher) Search(q []float32, k int, r2 float32, out []Neighbor) ([]Neighbor, QueryStats) {
-	s.stats = QueryStats{}
 	if k <= 0 || s.t.Len() == 0 {
-		return out, s.stats
+		return out, QueryStats{}
 	}
+	s.h.Reset(k)
+	// A push needs d < r' ≤ r2, so every retained item is already inside
+	// the radius: the heap is the answer.
+	s.walk(q, r2, min(s.h.MaxDist2(), r2), knnStep)
+	for _, it := range s.h.SortedInPlace() {
+		out = append(out, Neighbor{ID: it.ID, Dist2: it.Dist2})
+	}
+	return out, s.stats
+}
+
+// walk is the prologue and epilogue the three entry points share: check
+// q, run searchIter from the initial bound b with the given leaf step, and
+// charge the Meter.
+func (s *Searcher) walk(q []float32, r2cap, b float32, step leafStep) {
 	if len(q) != s.t.Points.Dims {
 		panic("kdtree: query dimensionality mismatch")
 	}
-	s.h.Reset(k)
-	s.q = q
-	s.r2cap = r2
-	s.updateBound()
+	s.q, s.r2cap, s.b, s.step = q, r2cap, b, step
+	s.stats, s.count = QueryStats{}, 0
 	s.searchIter()
-
-	items := s.h.SortedInPlace()
-	for _, it := range items {
-		// Enforce the radius bound exactly: the heap may briefly hold
-		// candidates at distance == r2 boundary kept out by pruning
-		// elsewhere; filter to the closed ball semantics of Alg. 1
-		// (d[x] < r').
-		if it.Dist2 < r2 || r2 == Inf2 {
-			out = append(out, Neighbor{ID: it.ID, Dist2: it.Dist2})
-		}
-	}
 	if s.Meter != nil {
 		s.Meter.Add(simtime.KNodeVisit, s.stats.NodesVisited)
 		s.Meter.Add(simtime.KDist, s.stats.PointsScanned*int64(s.t.Points.Dims))
 		s.Meter.Add(simtime.KHeap, s.stats.HeapPushes)
 	}
-	return out, s.stats
 }
 
-// updateBound refreshes the cached pruning radius r'^2 after a heap change:
-// the distance to the worst retained candidate, capped by the caller-
-// provided search radius.
-func (s *Searcher) updateBound() {
-	b := s.h.MaxDist2()
-	if s.r2cap < b {
-		b = s.r2cap
-	}
-	s.b = b
-}
-
-// searchIter is Algorithm 1 over an explicit stack instead of recursion:
-// descend along closer children (chosen by split-plane side, the same
-// structural order as the recursive kernel), defer each far child with a
-// lower bound on its region's squared distance, and re-check every deferred
-// subtree against the then-current pruning bound when popped.
+// searchIter is Algorithm 1 over an explicit stack instead of recursion,
+// and the only traversal of the tree: descend along closer children (chosen
+// by split-plane side, the same structural order as the recursive kernel),
+// defer each far child with a lower bound on its region's squared distance,
+// and re-check every deferred subtree against the then-current pruning
+// bound when popped. Fixed-radius search is the same walk with the bound
+// held at r2: it never shrinks, so the pop-time re-check always passes.
 //
 // The bound is the incremental sliding-gap form: the carried d2 replaces
 // its contribution along the split dimension with the distance from q to
@@ -154,7 +164,11 @@ func (s *Searcher) searchIter() {
 			n := &nodes[ni]
 			visited++
 			if n.dim == leafDim {
-				s.scanLeaf(n)
+				if s.step == knnStep {
+					s.scanLeaf(n)
+				} else {
+					s.radiusScanLeaf(n)
+				}
 				break
 			}
 			// Sliding-gap child bounds: replace this dimension's
@@ -162,11 +176,7 @@ func (s *Searcher) searchIter() {
 			// child's actual point interval ([lo,lowMax] left,
 			// [highMin,hi] right). Deeper boxes only shrink, so this
 			// stays a valid lower bound on the distance to any point in
-			// the child. NOTE: duplicated verbatim in radiusIter
-			// (radius.go) because a helper call per node costs ~8% of
-			// query time (cost 155 > Go's inline budget); keep the two
-			// copies in sync — the differential and brute-force tests
-			// in iterative_test.go and radius_test.go guard the math.
+			// the child.
 			v := q[n.dim]
 			b4 := t.splitBounds[ni*4 : ni*4+4 : ni*4+4]
 			lo, hi, lowMax, highMin := b4[0], b4[1], b4[2], b4[3]
@@ -231,36 +241,23 @@ func (s *Searcher) searchIter() {
 	s.stack = stack[:0] // keep any capacity growth for the next query
 }
 
-// leafMask is the leaf kernel of the ≥4-D scans. Tests swap in
-// geom.Dist2MaskGo to check that the SIMD path changes no answer and no
-// QueryStats count.
+// leafMask is the leaf kernel of both leaf steps, at every dimensionality.
+// Tests swap in geom.Dist2MaskGo to check that the SIMD path changes no
+// answer and no QueryStats count.
 var leafMask = geom.Dist2Mask
 
-// scanLeaf exhaustively scores a packed bucket (§III-C: "This computation is
-// very SIMD-friendly as the required points are localized in memory"). Low
-// dimensionalities fuse distance and selection into one register-resident
-// pass. Higher dimensionalities score up to geom.MaskBlock points at a time
-// with the candidate-mask kernel under the bound at the block's start (the
-// AVX2 kernel where the CPU has it), then walk only the candidates, in point
-// order, re-checking each against the current, shrinking bound before it is
-// pushed — the same pushes in the same order as a scalar filter over every
-// point.
+// scanLeaf is the KNN leaf step: it exhaustively scores a packed bucket
+// (§III-C: "This computation is very SIMD-friendly as the required points
+// are localized in memory"). It scores up to geom.MaskBlock points at a
+// time with the candidate-mask kernel under the bound at the block's start
+// (the AVX2 kernel where the CPU has it), then walks only the candidates,
+// in point order, re-checking each against the current, shrinking bound
+// before it is pushed — the same pushes in the same order as a scalar
+// filter over every point.
 func (s *Searcher) scanLeaf(n *node) {
 	lo, hi := int(n.start), int(n.end)
-	if lo == hi {
-		return
-	}
-	cnt := hi - lo
 	dims := s.t.Points.Dims
-	s.stats.PointsScanned += int64(cnt)
-	switch dims {
-	case 2:
-		s.scanLeaf2(lo, hi)
-		return
-	case 3:
-		s.scanLeaf3(lo, hi)
-		return
-	}
+	s.stats.PointsScanned += int64(hi - lo)
 	coords := s.t.Points.Coords
 	ids := &s.t.ids
 	b := s.b
@@ -283,82 +280,22 @@ func (s *Searcher) scanLeaf(n *node) {
 	s.stats.HeapPushes += pushes
 }
 
-// scanLeaf2 and scanLeaf3 fuse Dist2Batch with the selection filter for the
-// 2-D/3-D particle workloads: one pass, query coordinates in registers, no
-// scratch-buffer round trip. Accumulation order matches the batch kernels
-// (and hence scalar Dist2) exactly.
-func (s *Searcher) scanLeaf2(lo, hi int) {
-	q0, q1 := s.q[0], s.q[1]
+// radiusScanLeaf is the radius leaf step: under the fixed bound the
+// candidate mask is the exact answer set, counted and, for RadiusSearch,
+// walked in point order.
+func (s *Searcher) radiusScanLeaf(n *node) {
+	lo, hi := int(n.start), int(n.end)
+	dims := s.t.Points.Dims
+	s.stats.PointsScanned += int64(hi - lo)
 	coords := s.t.Points.Coords
-	ids := &s.t.ids
-	h := s.h
-	b := s.b
-	r2cap := s.r2cap
-	pushes := int64(0)
-	for i, j := lo, lo*2; i < hi; i, j = i+1, j+2 {
-		c := coords[j : j+2 : j+2]
-		d0 := q0 - c[0]
-		d1 := q1 - c[1]
-		d := d0*d0 + d1*d1
-		if d < b {
-			var ok bool
-			if ok, b = h.PushBound(d, ids.At(i), r2cap); ok {
-				pushes++
-			}
+	for c := lo; c < hi; c += geom.MaskBlock {
+		e := min(c+geom.MaskBlock, hi)
+		dist := s.scratch[:e-c]
+		m := leafMask(s.q, coords[c*dims:e*dims], dist, s.b)
+		s.count += bits.OnesCount64(m)
+		for ; s.step == collectStep && m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			s.out = append(s.out, Neighbor{ID: s.t.ids.At(c + i), Dist2: dist[i]})
 		}
 	}
-	s.b = b
-	s.stats.HeapPushes += pushes
-}
-
-func (s *Searcher) scanLeaf3(lo, hi int) {
-	q0, q1, q2 := s.q[0], s.q[1], s.q[2]
-	coords := s.t.Points.Coords
-	ids := &s.t.ids
-	h := s.h
-	b := s.b
-	r2cap := s.r2cap
-	pushes := int64(0)
-	i, j := lo, lo*3
-	// Two points per iteration for instruction-level parallelism; the
-	// candidate checks stay strictly in point order, so heap evolution
-	// (and hence tie retention) is identical to the rolled loop.
-	for ; i+2 <= hi; i, j = i+2, j+6 {
-		c := coords[j : j+6 : j+6]
-		e0 := q0 - c[0]
-		e1 := q1 - c[1]
-		e2 := q2 - c[2]
-		f0 := q0 - c[3]
-		f1 := q1 - c[4]
-		f2 := q2 - c[5]
-		de := e0*e0 + e1*e1 + e2*e2
-		df := f0*f0 + f1*f1 + f2*f2
-		if de < b {
-			var ok bool
-			if ok, b = h.PushBound(de, ids.At(i), r2cap); ok {
-				pushes++
-			}
-		}
-		if df < b {
-			var ok bool
-			if ok, b = h.PushBound(df, ids.At(i+1), r2cap); ok {
-				pushes++
-			}
-		}
-	}
-	for ; i < hi; i, j = i+1, j+3 {
-		c := coords[j : j+3 : j+3]
-		d0 := q0 - c[0]
-		d1 := q1 - c[1]
-		d2 := q2 - c[2]
-		d := d0*d0 + d1*d1 + d2*d2
-		if d < b {
-			var ok bool
-			if ok, b = h.PushBound(d, ids.At(i), r2cap); ok {
-				pushes++
-			}
-		}
-	}
-	s.b = b
-	s.stats.HeapPushes += pushes
 }

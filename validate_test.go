@@ -2,6 +2,7 @@ package panda
 
 import (
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -103,41 +104,92 @@ func TestBuildNonFiniteRejected(t *testing.T) {
 
 // TestNodeBuildNonFiniteRejected: the distributed build checks finiteness
 // collectively. Only rank 0's shard holds a NaN, yet both ranks must return
-// the same error naming rank 0, and neither may block waiting for the other.
+// the same error naming rank 0, and neither may block waiting for the other
+// — on the in-process cluster and on a real 2-rank TCP mesh.
 func TestNodeBuildNonFiniteRejected(t *testing.T) {
-	errs := make([]error, 2)
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunCluster(2, 1, func(n *Node) error {
-			coords := make([]float32, 60)
-			for i := range coords {
-				coords[i] = float32(i%10) * 0.1
+	for _, mesh := range []struct {
+		name string
+		run  func(fn func(n *Node) error) error
+	}{
+		{"RunCluster", func(fn func(n *Node) error) error {
+			_, err := RunCluster(2, 1, fn)
+			return err
+		}},
+		{"JoinTCPListener", runTCPMesh2},
+	} {
+		t.Run(mesh.name, func(t *testing.T) {
+			errs := make([]error, 2)
+			done := make(chan error, 1)
+			go func() {
+				done <- mesh.run(func(n *Node) error {
+					coords := make([]float32, 60)
+					for i := range coords {
+						coords[i] = float32(i%10) * 0.1
+					}
+					if n.Rank() == 0 {
+						coords[7] = float32(math.NaN())
+					}
+					_, errs[n.Rank()] = n.Build(coords, 3, nil, nil)
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("distributed build with a NaN shard did not return")
 			}
-			if n.Rank() == 0 {
-				coords[7] = float32(math.NaN())
+			if errs[0] == nil || errs[1] == nil {
+				t.Fatalf("distributed build accepted a NaN shard: rank errors %v, %v", errs[0], errs[1])
 			}
-			_, errs[n.Rank()] = n.Build(coords, 3, nil, nil)
-			return nil
+			if errs[0].Error() != errs[1].Error() {
+				t.Fatalf("ranks disagree: %q vs %q", errs[0], errs[1])
+			}
+			if !strings.Contains(errs[0].Error(), "ranks [0]") {
+				t.Fatalf("error %q does not name rank 0", errs[0])
+			}
 		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	}
+}
+
+// runTCPMesh2 runs fn on both ranks of a 2-rank JoinTCPListener mesh over
+// loopback and returns the first error.
+func runTCPMesh2(fn func(n *Node) error) error {
+	const p = 2
+	lns := make([]net.Listener, p)
+	addrs := make([]string, p)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return err
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("distributed build with a NaN shard did not return")
+		lns[i] = ln
+		addrs[i] = ln.Addr().String()
 	}
-	if errs[0] == nil || errs[1] == nil {
-		t.Fatalf("distributed build accepted a NaN shard: rank errors %v, %v", errs[0], errs[1])
+	errc := make(chan error, p)
+	for r := 0; r < p; r++ {
+		go func(r int) {
+			node, closeFn, err := JoinTCPListener(r, lns[r], addrs, 1)
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer closeFn()
+			errc <- fn(node)
+		}(r)
 	}
-	if errs[0].Error() != errs[1].Error() {
-		t.Fatalf("ranks disagree: %q vs %q", errs[0], errs[1])
+	var first error
+	for r := 0; r < p; r++ {
+		if err := <-errc; err != nil && first == nil {
+			first = err
+		}
 	}
-	if !strings.Contains(errs[0].Error(), "ranks [0]") {
-		t.Fatalf("error %q does not name rank 0", errs[0])
-	}
+	return first
 }
 
 // TestDistQueryNonFiniteRejected: the SPMD distributed query path validates
