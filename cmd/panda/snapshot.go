@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"panda"
+	"panda/internal/kdtree"
 	"panda/internal/ptsio"
 	"panda/internal/snapshot"
 )
@@ -152,7 +153,11 @@ func cmdSnapshotVerify(args []string) error {
 		if err != nil {
 			return err
 		}
-		coords, boxMin, boxMax := snap.Raw.Coords, snap.Raw.BoxMin, snap.Raw.BoxMax
+		stored, err := kdtree.FromRaw(snap.Raw)
+		if err != nil {
+			return err
+		}
+		coords, boxMin, boxMax := stored.PackedPoints().Coords, snap.Raw.BoxMin, snap.Raw.BoxMax
 		dims := opened.Dims()
 		npts := opened.Len()
 		rng := rand.New(rand.NewSource(1))

@@ -171,11 +171,10 @@ func (b *BufferTree) route(bq *bufQuery) int32 {
 // packed points — the dense rectangular kernel that is the buffer tree's
 // reason to exist.
 func (b *BufferTree) scanLeafBuffered(leaf int32, queued []*bufQuery) {
-	pts, ids := b.tree.LeafPoints(leaf)
+	pts, ids := b.tree.LeafPoints(leaf, nil)
 	if pts.Len() == 0 {
 		return
 	}
-	dims := pts.Dims
 	dist := make([]float32, pts.Len())
 	for _, bq := range queued {
 		geom.Dist2Batch(bq.q, pts.Coords, dist)
@@ -187,6 +186,5 @@ func (b *BufferTree) scanLeafBuffered(leaf int32, queued []*bufQuery) {
 				}
 			}
 		}
-		_ = dims
 	}
 }

@@ -73,8 +73,8 @@ func RestoreDistTree(global *GlobalTree, local *kdtree.Tree, rank int) (*DistTre
 	if rank < 0 || rank >= global.Ranks() {
 		return nil, fmt.Errorf("core: rank %d out of range for %d-rank global tree", rank, global.Ranks())
 	}
-	if local.Len() > 0 && local.Points.Dims != global.Dims {
-		return nil, fmt.Errorf("core: local shard has %d dims, global tree %d", local.Points.Dims, global.Dims)
+	if local.Len() > 0 && local.Dims() != global.Dims {
+		return nil, fmt.Errorf("core: local shard has %d dims, global tree %d", local.Dims(), global.Dims)
 	}
 	return &DistTree{Global: global, Local: local, dims: global.Dims, rank: rank, size: global.Ranks()}, nil
 }

@@ -199,9 +199,9 @@ func TestBuildDistributedOwnershipMatchesDomains(t *testing.T) {
 	trees, _ := buildOn(t, d.Points, 4, 1, Options{})
 	g := trees[0].Global
 	for r, dt := range trees {
-		for i := 0; i < dt.Local.Points.Len(); i++ {
-			q := dt.Local.Points.At(i)
-			if owner := g.Owner(q, nil); owner != r {
+		pts := dt.Local.PackedPoints()
+		for i := 0; i < pts.Len(); i++ {
+			if owner := g.Owner(pts.At(i), nil); owner != r {
 				t.Fatalf("rank %d holds point owned by rank %d", r, owner)
 			}
 		}

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // kernelRNG is a tiny deterministic generator (splitmix64) so kernel tests
 // don't depend on internal/data (which would create an import cycle risk and
@@ -55,67 +52,6 @@ func TestDist2BatchMatchesScalar(t *testing.T) {
 					t.Fatalf("dims=%d n=%d point %d: Dist2Batch=%v, scalar Dist2=%v",
 						dims, n, i, out[i], want)
 				}
-			}
-		}
-	}
-}
-
-// TestDist2BatchBoundedSemantics: in-bound points must be bit-identical to
-// scalar Dist2; out-of-bound points must report some value ≥ bound (partial
-// sums are allowed). Covers the radius boundary exactly: a point at
-// distance == bound is out-of-bound under the strict d < bound filter.
-func TestDist2BatchBoundedSemantics(t *testing.T) {
-	r := &kernelRNG{s: 2}
-	for _, dims := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13} {
-		for _, n := range []int{0, 1, 5, 32} {
-			q, pts := randBlock(r, n, dims)
-			exact := make([]float32, n)
-			Dist2Batch(q, pts, exact)
-			bounds := []float32{0, 1, 50, math.MaxFloat32}
-			if n > 0 {
-				// Radius boundary: bound exactly equal to a point's
-				// distance — that point must NOT be reported below bound.
-				bounds = append(bounds, exact[n/2])
-			}
-			for _, bound := range bounds {
-				out := make([]float32, n)
-				Dist2BatchBounded(q, pts, out, bound)
-				for i := 0; i < n; i++ {
-					if exact[i] < bound {
-						if out[i] != exact[i] {
-							t.Fatalf("dims=%d bound=%v point %d in-bound: got %v, want exact %v",
-								dims, bound, i, out[i], exact[i])
-						}
-					} else if out[i] < bound {
-						t.Fatalf("dims=%d bound=%v point %d out-of-bound (exact %v): got %v < bound",
-							dims, bound, i, exact[i], out[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDist2BatchBoundedIdenticalFilter: the accept set under `d < bound`
-// must be identical between the bounded and exact kernels — this is the
-// property the leaf scan relies on for bit-identical neighbor sets.
-func TestDist2BatchBoundedIdenticalFilter(t *testing.T) {
-	r := &kernelRNG{s: 3}
-	const dims, n = 10, 64
-	q, pts := randBlock(r, n, dims)
-	exact := make([]float32, n)
-	bounded := make([]float32, n)
-	Dist2Batch(q, pts, exact)
-	for _, bound := range []float32{0.5, 5, 100, 500} {
-		Dist2BatchBounded(q, pts, bounded, bound)
-		for i := 0; i < n; i++ {
-			if (exact[i] < bound) != (bounded[i] < bound) {
-				t.Fatalf("bound=%v point %d: filter disagreement exact=%v bounded=%v",
-					bound, i, exact[i], bounded[i])
-			}
-			if exact[i] < bound && bounded[i] != exact[i] {
-				t.Fatalf("bound=%v point %d: accepted value differs: %v vs %v",
-					bound, i, bounded[i], exact[i])
 			}
 		}
 	}

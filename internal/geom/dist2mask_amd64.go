@@ -3,7 +3,7 @@
 package geom
 
 // detectCPU reads the CPUID feature bits. The leaf kernel needs AVX2
-// (VPMULLD, VPBROADCASTD, VGATHERDPS) and an OS that saves the YMM
+// (VPBROADCASTD, VPCMPGTD on YMM registers) and an OS that saves the YMM
 // registers; it uses no FMA, so its sums round exactly like the scalar ones.
 // The histogram kernel of internal/sample needs AVX2 and POPCNT.
 func detectCPU() CPUFeatures {
@@ -35,8 +35,14 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // dist2MaskAVX2 is Dist2Mask for 1 ≤ n ≤ MaskBlock points of dims ≥ 1
-// coordinates: it reads pts[:n*dims] and q[:dims], writes out[:n] and
-// returns the candidate mask.
+// coordinates: it reads q[:dims] and rows[j*stride:j*stride+n] for each
+// j < dims, writes out[:n] and returns the candidate mask.
 //
 //go:noescape
-func dist2MaskAVX2(q, pts, out *float32, n, dims int, bound float32) uint64
+func dist2MaskAVX2(q, rows, out *float32, n, dims, stride int, bound float32) uint64
+
+// Prefetch asks the CPU to bring every cache line of b into the cache
+// (PREFETCHT0), without waiting for them: a hint that changes no value.
+//
+//go:noescape
+func Prefetch(b []float32)

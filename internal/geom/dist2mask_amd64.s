@@ -2,8 +2,7 @@
 
 #include "textflag.h"
 
-// Lane numbers 0..7: the gather index of lane l is l*dims, and lane l is
-// live while l < the points left.
+// Lane numbers 0..7: lane l is live while l < the points left.
 DATA lanes<>+0(SB)/4, $0
 DATA lanes<>+4(SB)/4, $1
 DATA lanes<>+8(SB)/4, $2
@@ -32,79 +31,73 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
-// GATHERDIFF leaves q[j] - p[l*dims+j] of every live lane in Y3 for the
-// dimension j that R10 (into q) and R11 (into the group's points) address,
-// then steps both to dimension j+1. Y1 is zeroed first so each gather
-// depends only on its own inputs, not on the previous gather's result.
-#define GATHERDIFF \
-	VMOVAPS      Y13, Y2; \
-	VXORPS       Y1, Y1, Y1; \
-	VGATHERDPS   Y2, (R11)(Y14*4), Y1; \
+// DIFF leaves q[j] - rows[j][g:g+8] in Y3 for the dimension j that R10
+// (into q) and R11 (into row j, at the group's first point) address, then
+// steps R10 to q[j+1] and R11 to row j+1: one load of 8 points.
+#define DIFF \
+	VBROADCASTSS (R10), Y3; \
+	VSUBPS       (R11), Y3, Y3; \
+	ADDQ         $4, R10; \
+	ADDQ         R8, R11
+
+// MDIFF is DIFF for the last, partial group: the masked load reads only
+// the live lanes (Y13), so no row is read past its n-th float.
+#define MDIFF \
+	VMASKMOVPS   (R11), Y13, Y1; \
 	VBROADCASTSS (R10), Y3; \
 	VSUBPS       Y1, Y3, Y3; \
 	ADDQ         $4, R10; \
-	ADDQ         $4, R11
+	ADDQ         R8, R11
 
-// ACCUM adds dimension j's square to each lane's sum in Y0: the same
-// sub, mul, add sequence and order as the scalar kernels, without FMA.
+// ACCUM and MACCUM add dimension j's square to each lane's sum in Y0: the
+// same sub, mul, add sequence and order as the scalar kernels, without FMA.
 #define ACCUM \
-	GATHERDIFF; \
+	DIFF; \
 	VMULPS Y3, Y3, Y3; \
 	VADDPS Y3, Y0, Y0
 
-// func dist2MaskAVX2(q, pts, out *float32, n, dims int, bound float32) uint64
+#define MACCUM \
+	MDIFF; \
+	VMULPS Y3, Y3, Y3; \
+	VADDPS Y3, Y0, Y0
+
+// func dist2MaskAVX2(q, rows, out *float32, n, dims, stride int, bound float32) uint64
 //
-// Scores the n points in groups of 8, one lane per point. Each group sums
-// the first h = (dims+1)/2 dimensions, skips the rest when every live lane
-// is already at or above bound (the lanes then hold partial sums ≥ bound),
-// and stores its sums: a full group with VMOVUPS, the last partial group
-// with VMASKMOVPS, so out[n:] is never written. The block's cache lines are
-// prefetched first.
-TEXT ·dist2MaskAVX2(SB), NOSPLIT, $0-56
+// Scores the n points in groups of 8, one lane per point; dimension j of a
+// group is one 8-float load from row j. Each group sums the first
+// h = (dims+1)/2 dimensions, skips the rest when every live lane is
+// already at or above bound (the lanes then hold partial sums ≥ bound),
+// and stores its sums. Full groups load and store with plain moves; the
+// last partial group loads and stores with VMASKMOVPS, so nothing past a
+// row's n-th float is read and nothing past out[n-1] is written. There is
+// no software prefetch: each group reads consecutive floats of each row,
+// which the hardware prefetcher follows, and an up-front prefetch of the
+// block measured slower.
+TEXT ·dist2MaskAVX2(SB), NOSPLIT, $0-64
 	MOVQ         q+0(FP), SI
-	MOVQ         pts+8(FP), DI
+	MOVQ         rows+8(FP), DI
 	MOVQ         out+16(FP), DX
 	MOVQ         n+24(FP), R13            // points left
 	MOVQ         dims+32(FP), BX
-	VBROADCASTSS bound+40(FP), Y15
-	VMOVDQU      lanes<>(SB), Y12
-	VMOVQ        BX, X14
-	VPBROADCASTD X14, Y14
-	VPMULLD      Y12, Y14, Y14            // gather indices l*dims
+	MOVQ         stride+40(FP), R8
+	SHLQ         $2, R8                   // row stride in bytes
+	VBROADCASTSS bound+48(FP), Y15
 	MOVQ         BX, R9
 	INCQ         R9
 	SHRQ         $1, R9                   // h = (dims+1)/2
-	MOVQ         BX, R8
-	SHLQ         $5, R8                   // group stride: 8 points * dims * 4 bytes
-	MOVQ         R13, R10
-	IMULQ        BX, R10
-	SHLQ         $2, R10
-	ADDQ         DI, R10                  // end of the block
-	MOVQ         DI, R11
-	ANDQ         $-64, R11                // the cache line of the first byte
-
-prefetch:
-	// Touch every cache line of the block up front, from the first byte's
-	// to the last byte's, so their misses overlap instead of arriving one
-	// gather at a time.
-	PREFETCHT0 (R11)
-	ADDQ       $64, R11
-	CMPQ       R11, R10
-	JLT        prefetch
-	XORQ       AX, AX                     // candidate mask
-	XORQ       CX, CX                     // the group's first bit
+	XORQ         AX, AX                   // candidate mask
+	XORQ         CX, CX                   // the group's first bit
+	CMPQ         R13, $8
+	JLT          tail
 
 group:
-	VMOVQ        R13, X13
-	VPBROADCASTD X13, Y13
-	VPCMPGTD     Y12, Y13, Y13            // live lanes: l < points left
-	MOVQ         SI, R10
-	MOVQ         DI, R11
-	GATHERDIFF
-	VMULPS       Y3, Y3, Y0               // s = d0*d0
-	MOVQ         R9, R12
-	DECQ         R12
-	JZ           half
+	MOVQ   SI, R10
+	MOVQ   DI, R11
+	DIFF
+	VMULPS Y3, Y3, Y0                     // s = d0*d0
+	MOVQ   R9, R12
+	DECQ   R12
+	JZ     half
 
 first:
 	ACCUM
@@ -113,8 +106,8 @@ first:
 
 half:
 	VCMPPS $1, Y15, Y0, Y4 // s < bound (LT_OS: false for NaN)
-	VPTEST Y13, Y4
-	JZ     store           // every live lane is at or above bound
+	VPTEST Y4, Y4
+	JZ     store           // every lane is at or above bound
 	MOVQ   BX, R12
 	SUBQ   R9, R12
 	JZ     store
@@ -126,24 +119,80 @@ second:
 	VCMPPS $1, Y15, Y0, Y4
 
 store:
-	VANDPS    Y13, Y4, Y4
 	VMOVMSKPS Y4, R12
 	SHLQ      CX, R12
 	ORQ       R12, AX
-	CMPQ      R13, $8
-	JLT       tail
 	VMOVUPS   Y0, (DX)
-	ADDQ      R8, DI
+	ADDQ      $32, DI
 	ADDQ      $32, DX
 	ADDQ      $8, CX
 	SUBQ      $8, R13
-	JNZ       group
-	VZEROUPPER
-	MOVQ      AX, ret+48(FP)
-	RET
+	CMPQ      R13, $8
+	JGE       group
+	TESTQ     R13, R13
+	JZ        done
 
 tail:
+	VMOVQ        R13, X13
+	VPBROADCASTD X13, Y13
+	VMOVDQU      lanes<>(SB), Y12
+	VPCMPGTD     Y12, Y13, Y13            // live lanes: l < points left
+	MOVQ         SI, R10
+	MOVQ         DI, R11
+	MDIFF
+	VMULPS       Y3, Y3, Y0
+	MOVQ         R9, R12
+	DECQ         R12
+	JZ           tailHalf
+
+tailFirst:
+	MACCUM
+	DECQ R12
+	JNZ  tailFirst
+
+tailHalf:
+	VCMPPS $1, Y15, Y0, Y4
+	VPTEST Y13, Y4
+	JZ     tailStore       // every live lane is at or above bound
+	MOVQ   BX, R12
+	SUBQ   R9, R12
+	JZ     tailStore
+
+tailSecond:
+	MACCUM
+	DECQ   R12
+	JNZ    tailSecond
+	VCMPPS $1, Y15, Y0, Y4
+
+tailStore:
+	VANDPS     Y13, Y4, Y4
+	VMOVMSKPS  Y4, R12
+	SHLQ       CX, R12
+	ORQ        R12, AX
 	VMASKMOVPS Y0, Y13, (DX)
+
+done:
 	VZEROUPPER
-	MOVQ       AX, ret+48(FP)
+	MOVQ AX, ret+56(FP)
+	RET
+
+// func Prefetch(b []float32)
+//
+// Issues one PREFETCHT0 per cache line from b's first byte's line up to
+// its last byte's. Prefetches never fault, so any slice is safe.
+TEXT ·Prefetch(SB), NOSPLIT, $0-24
+	MOVQ  b_base+0(FP), R11
+	MOVQ  b_len+8(FP), R10
+	TESTQ R10, R10
+	JZ    prefetched
+	LEAQ  (R11)(R10*4), R10  // the end of b
+	ANDQ  $-64, R11          // the cache line of its first byte
+
+prefetch:
+	PREFETCHT0 (R11)
+	ADDQ       $64, R11
+	CMPQ       R11, R10
+	JLT        prefetch
+
+prefetched:
 	RET

@@ -6,6 +6,9 @@ package geom
 // Dist2MaskGo.
 func detectCPU() CPUFeatures { return CPUFeatures{} }
 
-func dist2MaskAVX2(q, pts, out *float32, n, dims int, bound float32) uint64 {
+func dist2MaskAVX2(q, rows, out *float32, n, dims, stride int, bound float32) uint64 {
 	panic("geom: AVX2 kernel not built")
 }
+
+// Prefetch is a no-op off amd64: it is only a cache hint.
+func Prefetch(b []float32) {}

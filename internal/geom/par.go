@@ -2,29 +2,14 @@ package geom
 
 import "panda/internal/par"
 
-// gatherChunk is the fixed row-chunk width of the parallel gather: large
-// enough that per-chunk dispatch is noise, small enough that the tail chunk
-// cannot idle the other workers.
-const gatherChunk = 8192
+// boxChunk is the fixed row-chunk width of the parallel bounding-box scan:
+// large enough that per-chunk dispatch is noise, small enough that the tail
+// chunk cannot idle the other workers.
+const boxChunk = 8192
 
-// parMinRows is the point count below which the parallel variants fall back
-// to their sequential forms outright.
+// parMinRows is the point count below which BoundingBoxPar falls back to
+// the sequential scan outright.
 const parMinRows = 4096
-
-// GatherPar is Gather fanned out over pool's workers: each worker copies
-// disjoint destination row ranges, so the result is byte-identical to the
-// sequential gather for any worker count. A nil pool (or one worker, or a
-// small index set) runs the sequential path.
-func (p Points) GatherPar(indices []int32, pool *par.Pool) Points {
-	if pool.Workers() <= 1 || len(indices) < parMinRows {
-		return p.Gather(indices)
-	}
-	out := NewPoints(len(indices), p.Dims)
-	pool.ForChunks(len(indices), gatherChunk, func(_, lo, hi int) {
-		p.gatherRows(out, indices, lo, hi)
-	})
-	return out
-}
 
 // BoundingBoxPar is BoundingBox with the min/max scan chunked over pool's
 // workers. Per-chunk extents are merged in chunk index order; float32
@@ -35,10 +20,10 @@ func BoundingBoxPar(p Points, pool *par.Pool) Box {
 	if pool.Workers() <= 1 || n < parMinRows {
 		return BoundingBox(p)
 	}
-	nc := par.Chunks(n, gatherChunk)
+	nc := par.Chunks(n, boxChunk)
 	mins := make([][]float32, nc)
 	maxs := make([][]float32, nc)
-	pool.ForChunks(n, gatherChunk, func(c, lo, hi int) {
+	pool.ForChunks(n, boxChunk, func(c, lo, hi int) {
 		mins[c], maxs[c] = p.MinMax(lo, hi)
 	})
 	mn, mx := mins[0], maxs[0]

@@ -16,30 +16,6 @@ func parTestPoints(n, dims int) Points {
 	return p
 }
 
-// TestGatherParMatchesSequential: the parallel gather must be byte-identical
-// to the sequential one for any worker count.
-func TestGatherParMatchesSequential(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	p := parTestPoints(20_000, 5)
-	idx := make([]int32, p.Len())
-	for i := range idx {
-		idx[i] = int32((i * 7919) % p.Len())
-	}
-	want := p.Gather(idx)
-	for _, workers := range []int{1, 2, 8} {
-		got := p.GatherPar(idx, par.NewPool(workers))
-		if got.Dims != want.Dims || len(got.Coords) != len(want.Coords) {
-			t.Fatalf("workers=%d: shape mismatch", workers)
-		}
-		for i := range got.Coords {
-			if got.Coords[i] != want.Coords[i] {
-				t.Fatalf("workers=%d: coord %d: %v != %v", workers, i, got.Coords[i], want.Coords[i])
-			}
-		}
-	}
-}
-
 // TestBoundingBoxParMatchesSequential: chunk-merged extents must equal the
 // sequential scan exactly.
 func TestBoundingBoxParMatchesSequential(t *testing.T) {

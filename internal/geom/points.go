@@ -1,13 +1,14 @@
 // Package geom provides the low-level geometric substrate for PANDA:
-// packed point storage, squared-distance kernels (scalar and blocked
-// "SIMD-style" forms operating on bucket-packed memory), and axis-aligned
-// bounding boxes with point-to-box distance used for kd-tree pruning.
+// packed point storage, squared-distance kernels (scalar, blocked, and the
+// leaf-major candidate-mask kernel the kd-tree's leaf scans run), and
+// axis-aligned bounding boxes with point-to-box distance used for kd-tree
+// pruning.
 //
 // Points are stored as a flat []float32 in row-major order (point i occupies
-// Coords[i*Dims : (i+1)*Dims]). This is the layout the paper's "SIMD packing"
-// step (§III-A iv) produces inside kd-tree buckets: all coordinates of the
-// points in one bucket are contiguous, so the exhaustive distance scan at
-// the leaves is a dense, branch-free loop.
+// Coords[i*Dims : (i+1)*Dims]), the layout datasets arrive in. The kd-tree's
+// "SIMD packing" step (§III-A iv) stores each leaf bucket leaf-major
+// instead, one contiguous row per dimension, which Dist2Mask scans 8
+// points per load.
 package geom
 
 import (
@@ -76,27 +77,13 @@ func (p Points) Clone() Points {
 }
 
 // Gather returns a new Points holding the points at the given indices, in
-// order. This is the core of the paper's SIMD-packing step: after bucket
-// boundaries are fixed, the dataset is shuffled so each bucket's points are
-// contiguous in memory.
+// order.
 func (p Points) Gather(indices []int32) Points {
 	out := NewPoints(len(indices), p.Dims)
-	p.gatherRows(out, indices, 0, len(indices))
-	return out
-}
-
-// gatherRows copies the rows indices[lo:hi] into out's rows lo..hi-1. Rows
-// are a few floats (12 bytes in 3-D, 40 in 10-D), where copy's call into
-// memmove costs more than the move itself, so each row is an element loop.
-func (p Points) gatherRows(out Points, indices []int32, lo, hi int) {
-	d := p.Dims
-	for j := lo; j < hi; j++ {
-		dst := out.Coords[j*d:][:d]
-		src := p.Coords[int(indices[j])*d:][:len(dst)]
-		for k := range dst {
-			dst[k] = src[k]
-		}
+	for j, i := range indices {
+		out.SetAt(j, p.At(int(i)))
 	}
+	return out
 }
 
 // Append appends the coordinates of one point and returns the updated set.

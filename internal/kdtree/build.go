@@ -23,6 +23,9 @@ const (
 	partChunk = 4096
 	// packChunk is the fixed row-chunk width of the id-packing pass.
 	packChunk = 8192
+	// leafChunk is the fixed leaf-chunk width of the point-packing pass
+	// (about packChunk points at the default bucket size).
+	leafChunk = 256
 	// nodeChunk is the per-level node-chunk width of the bounding-box
 	// passes (a leaf chunk scans up to nodeChunk buckets of points).
 	nodeChunk = 64
@@ -51,9 +54,9 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	if ids != nil && len(ids) != n {
 		panic("kdtree: len(ids) != number of points")
 	}
+	t.dims = pts.Dims
 	if n == 0 {
-		t.Points = geom.NewPoints(0, pts.Dims)
-		t.Box = geom.BoundingBox(t.Points)
+		t.Box = geom.BoundingBox(pts)
 		return t
 	}
 
@@ -71,22 +74,24 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	root, height := b.run()
 	t.nodes, t.root = canonicalize(b.nodes, root)
 	t.height = height
-	for _, nd := range t.nodes {
+	leaves := make([]int32, 0, (len(t.nodes)+1)/2) // a full binary tree
+	for ni, nd := range t.nodes {
 		if nd.dim == leafDim {
+			leaves = append(leaves, int32(ni))
 			b := int(nd.end - nd.start)
-			t.leaves++
 			t.bucketSum += int64(b)
 			if b > t.maxBucket {
 				t.maxBucket = b
 			}
 		}
 	}
+	t.leaves = len(leaves)
 
-	// SIMD packing: shuffle the dataset so each bucket is contiguous. The
-	// index array is already in final leaf order, so packing is a gather —
-	// disjoint destination rows, chunked over the pool.
+	// SIMD packing: shuffle the dataset so each bucket is contiguous and
+	// leaf-major. The index array is already in final leaf order, so
+	// packing is a transposing gather, chunked over the pool by leaf.
 	pack := b.charger(PhasePack)
-	t.Points = pts.GatherPar(b.idx, b.pool)
+	t.coords = packLeaves(pts.Coords, pts.Dims, b.idx, t.nodes, leaves, b.pool)
 	t.ids = packIDs(ids, b.idx, b.pool)
 	idBytes := int64(8) // the wide table moves an int64 per id, the narrow one a uint32
 	if t.ids.Narrow() {
@@ -94,9 +99,36 @@ func Build(pts geom.Points, ids []int64, opts Options) *Tree {
 	}
 	pack.all(simtime.KPointMove, int64(n)*(int64(pts.Dims)*4+idBytes))
 
-	t.Box = geom.BoundingBoxPar(t.Points, b.pool)
+	t.Box = geom.BoundingBoxPar(pts, b.pool)
 	t.computeNodeBoxes(b.pool)
 	return t
+}
+
+// packLeaves returns the leaf-major packed copy of the row-major points
+// src: each leaf [lo,hi) of nodes receives the points src[idx[p]] for p in
+// [lo,hi) — src[p] when idx is nil — as dims rows of hi-lo floats at
+// [lo*dims, hi*dims). idx, when given, is a permutation of all the points.
+// Every leaf writes only its own range, so the pass chunks over the pool
+// by leaf and its bytes do not depend on the worker count.
+func packLeaves(src []float32, dims int, idx []int32, nodes []node, leaves []int32, pool *par.Pool) []float32 {
+	coords := make([]float32, len(src))
+	pool.ForChunks(len(leaves), leafChunk, func(_, lo, hi int) {
+		for _, ni := range leaves[lo:hi] {
+			n := &nodes[ni]
+			m := int(n.end - n.start)
+			dst := coords[int(n.start)*dims : int(n.end)*dims]
+			for i := 0; i < m; i++ {
+				p := int(n.start) + i
+				if idx != nil {
+					p = int(idx[p])
+				}
+				for j, v := range src[p*dims : p*dims+dims] {
+					dst[j*m+i] = v
+				}
+			}
+		}
+	})
+	return coords
 }
 
 // canonicalize renumbers the node array into DFS preorder (root, left
@@ -152,7 +184,7 @@ func canonicalize(nodes []node, root int32) ([]node, int32) {
 // reverse index order is already bottom-up. Both schedules run the same
 // per-node float ops and produce identical bytes.
 func (t *Tree) computeNodeBoxes(pool *par.Pool) {
-	d := t.Points.Dims
+	d := t.dims
 	nn := len(t.nodes)
 	if nn == 0 || d == 0 {
 		return
@@ -208,17 +240,17 @@ func (t *Tree) computeNodeBoxes(pool *par.Pool) {
 	}
 }
 
-// nodeBox fills node ni's box (leaf: scan its packed range; internal: union
-// of its already-computed children) and, for internal nodes, its
-// splitBounds entry.
+// nodeBox fills node ni's box (leaf: the min and max of each of its rows;
+// internal: union of its already-computed children) and, for internal
+// nodes, its splitBounds entry.
 func (t *Tree) nodeBox(boxMin, boxMax []float32, ni int32) {
-	d := t.Points.Dims
-	coords := t.Points.Coords
+	d := t.dims
 	n := t.nodes[ni]
 	mn := boxMin[int(ni)*d : int(ni)*d+d]
 	mx := boxMax[int(ni)*d : int(ni)*d+d]
 	if n.dim == leafDim {
-		if n.start == n.end {
+		rows, m := t.leafRows(&n)
+		if m == 0 {
 			// Empty leaf: inverted box, infinitely far from any query.
 			posInf := float32(math.Inf(1))
 			for i := range mn {
@@ -227,19 +259,18 @@ func (t *Tree) nodeBox(boxMin, boxMax []float32, ni int32) {
 			}
 			return
 		}
-		base := int(n.start) * d
-		copy(mn, coords[base:base+d])
-		copy(mx, coords[base:base+d])
-		for p := int(n.start) + 1; p < int(n.end); p++ {
-			row := coords[p*d : p*d+d : p*d+d]
-			for i, v := range row {
-				if v < mn[i] {
-					mn[i] = v
+		for j := range mn {
+			row := rows[j*m : (j+1)*m]
+			lo, hi := row[0], row[0]
+			for _, v := range row[1:] {
+				if v < lo {
+					lo = v
 				}
-				if v > mx[i] {
-					mx[i] = v
+				if v > hi {
+					hi = v
 				}
 			}
+			mn[j], mx[j] = lo, hi
 		}
 		return
 	}

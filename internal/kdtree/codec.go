@@ -1,7 +1,7 @@
 // Snapshot codec hook: the flat, serializable view of a built Tree.
 //
-// A built tree is five flat arrays (packed coords, id column, nodes, split
-// bounds, bounding box) plus a handful of scalars, which is what makes
+// A built tree is five flat arrays (leaf-major coords, id column, nodes,
+// split bounds, bounding box) plus a handful of scalars, which is what makes
 // zero-copy persistence possible: Raw exposes those arrays without copying,
 // and FromRaw reassembles a Tree around caller-provided arrays — slices of
 // an mmap'd snapshot in the warm-start path — after validating every
@@ -39,9 +39,15 @@ var HostLittleEndian = func() bool {
 // are adopted by the new tree (the caller must keep their backing storage —
 // e.g. an mmap'd file — alive and unmodified for the tree's lifetime).
 type Raw struct {
-	Dims   int
-	Coords []float32 // packed points, len = n*Dims
-	IDs    IDTable   // packed position -> caller id, Len = n
+	Dims int
+	// Coords holds the n*Dims packed coordinates, leaf-major as in Tree
+	// (each leaf Dims rows of its point count) unless RowMajor is set.
+	Coords []float32
+	// RowMajor marks Coords as row-major (point i at
+	// [i*Dims:(i+1)*Dims]), the layout of snapshot formats before version
+	// 3; FromRaw transposes such points into a fresh leaf-major array.
+	RowMajor bool
+	IDs      IDTable // packed position -> caller id, Len = n
 	// NodesLE is the node array as little-endian NodeBytes-sized records:
 	// dim int32 (leaf = -1), median float32, left, right, start, end int32.
 	NodesLE     []byte
@@ -60,8 +66,8 @@ type Raw struct {
 // buffer so the result is the wire form either way.
 func (t *Tree) Raw() Raw {
 	return Raw{
-		Dims:        t.Points.Dims,
-		Coords:      t.Points.Coords,
+		Dims:        t.dims,
+		Coords:      t.coords,
 		IDs:         t.ids,
 		NodesLE:     encodeNodes(t.nodes),
 		SplitBounds: t.splitBounds,
@@ -129,7 +135,8 @@ func decodeNodes(raw []byte) []node {
 // node child/leaf index ranges, acyclicity, exact leaf partition of the
 // point range, finite coordinates inside a finite stored box, non-NaN
 // medians and split bounds, and the stored height/max-bucket metadata
-// against the values the validation walk recomputes. An
+// against the values the validation walk recomputes. RowMajor points are
+// transposed into a fresh leaf-major array; all others are adopted. An
 // error means the input cannot have been produced by Build over finite
 // points and no Tree is returned — no query method can ever see it.
 func FromRaw(raw Raw) (*Tree, error) {
@@ -151,13 +158,12 @@ func FromRaw(raw Raw) (*Tree, error) {
 	opts.Recorder = nil
 	opts = opts.withDefaults()
 
-	t := &Tree{opts: opts}
+	t := &Tree{opts: opts, dims: d}
 	if n == 0 {
 		if len(raw.NodesLE) != 0 || len(raw.SplitBounds) != 0 {
 			return nil, fmt.Errorf("kdtree: empty snapshot carries %d node bytes", len(raw.NodesLE))
 		}
-		t.Points = geom.NewPoints(0, d)
-		t.Box = geom.BoundingBox(t.Points)
+		t.Box = geom.BoundingBox(geom.NewPoints(0, d))
 		return t, nil
 	}
 
@@ -176,28 +182,12 @@ func FromRaw(raw Raw) (*Tree, error) {
 		return nil, fmt.Errorf("kdtree: root %d out of range [0,%d)", raw.Root, nn)
 	}
 
-	// The stored box must be finite and contain every point. One pass
-	// proves both box sanity and coordinate finiteness: a NaN or ±Inf
-	// coordinate cannot satisfy min ≤ v ≤ max against finite bounds (and a
-	// NaN would disable every pruning comparison in the kernels). A box
-	// looser than the tight bounding hull is accepted — it only feeds the
-	// Morton scheduling hint, never a pruning decision.
 	for i := 0; i < d; i++ {
 		lo, hi := raw.BoxMin[i], raw.BoxMax[i]
 		if !geom.Finite(lo) || !geom.Finite(hi) || lo > hi {
 			return nil, fmt.Errorf("kdtree: box [%v,%v] along dim %d not a finite interval", lo, hi, i)
 		}
 	}
-	mn, mx := raw.BoxMin, raw.BoxMax
-	for i := 0; i < len(raw.Coords); i += d {
-		row := raw.Coords[i : i+d : i+d]
-		for j, v := range row {
-			if !(v >= mn[j] && v <= mx[j]) {
-				return nil, fmt.Errorf("kdtree: coordinate %v at point %d dim %d outside the stored box (or non-finite)", v, i/d, j)
-			}
-		}
-	}
-	pts := geom.FromCoords(raw.Coords, d)
 	for _, v := range raw.SplitBounds {
 		if v != v {
 			return nil, fmt.Errorf("kdtree: NaN split bound")
@@ -216,12 +206,12 @@ func FromRaw(raw Raw) (*Tree, error) {
 	}
 	visited := make([]bool, nn)
 	covered := make([]bool, n)
+	leafList := make([]int32, 0, (nn+1)/2) // a full binary tree
 	stack := make([]walkFrame, 0, 64)
 	stack = append(stack, walkFrame{raw.Root, 1})
 	var (
 		height    int32
 		maxBucket int32
-		leaves    int
 		bucketSum int64
 		total     int
 	)
@@ -247,7 +237,7 @@ func FromRaw(raw Raw) (*Tree, error) {
 				covered[i] = true
 			}
 			b := nd.end - nd.start
-			leaves++
+			leafList = append(leafList, fr.ni)
 			bucketSum += int64(b)
 			total += int(b)
 			if b > maxBucket {
@@ -276,13 +266,34 @@ func FromRaw(raw Raw) (*Tree, error) {
 		return nil, fmt.Errorf("kdtree: stored max bucket %d, walk found %d", raw.MaxBucket, maxBucket)
 	}
 
-	t.Points = pts
+	t.coords = raw.Coords
+	if raw.RowMajor {
+		t.coords = packLeaves(raw.Coords, d, nil, t.nodes, leafList, nil)
+	}
+	// The stored box must be finite and contain every point. One pass
+	// proves both box sanity and coordinate finiteness: a NaN or ±Inf
+	// coordinate cannot satisfy min ≤ v ≤ max against finite bounds (and a
+	// NaN would disable every pruning comparison in the kernels). A box
+	// looser than the tight bounding hull is accepted — it only feeds the
+	// Morton scheduling hint, never a pruning decision.
+	mn, mx := raw.BoxMin, raw.BoxMax
+	for _, ni := range leafList {
+		rows, m := t.leafRows(&t.nodes[ni])
+		for j := 0; j < d; j++ {
+			for i, v := range rows[j*m : (j+1)*m] {
+				if !(v >= mn[j] && v <= mx[j]) {
+					return nil, fmt.Errorf("kdtree: coordinate %v at point %d dim %d outside the stored box (or non-finite)",
+						v, int(t.nodes[ni].start)+i, j)
+				}
+			}
+		}
+	}
 	t.ids = raw.IDs
 	t.Box = geom.Box{Min: raw.BoxMin, Max: raw.BoxMax}
 	t.root = raw.Root
 	t.height = int(height)
 	t.maxBucket = int(maxBucket)
-	t.leaves = leaves
+	t.leaves = len(leafList)
 	t.bucketSum = bucketSum
 	t.splitBounds = raw.SplitBounds
 	return t, nil

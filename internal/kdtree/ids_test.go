@@ -74,9 +74,10 @@ func TestIDTableForm(t *testing.T) {
 			k := [3]float32(d.Points.At(j))
 			pos[k] = append(pos[k], want[j])
 		}
+		packed := tr.PackedPoints()
 		for i := 0; i < n; i++ {
 			ok := false
-			for _, id := range pos[[3]float32(tr.Points.At(i))] {
+			for _, id := range pos[[3]float32(packed.At(i))] {
 				ok = ok || id == got.At(i)
 			}
 			if !ok {
@@ -169,8 +170,9 @@ func TestIDReadersAllocateNothing(t *testing.T) {
 				leaf = tr.nodes[leaf].left
 			}
 			var sum int64
+			buf := make([]float32, 0, tr.MaxBucket()*dims)
 			if a := testing.AllocsPerRun(100, func() {
-				_, ids := tr.LeafPoints(leaf)
+				_, ids := tr.LeafPoints(leaf, buf)
 				sum += ids.At(0)
 			}); a != 0 {
 				t.Fatalf("dims=%d narrow=%v: LeafPoints made %v allocations", dims, tr.IDs().Narrow(), a)

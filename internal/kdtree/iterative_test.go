@@ -2,6 +2,8 @@ package kdtree
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"panda/internal/geom"
@@ -28,7 +30,7 @@ func newRecursiveRef(t *Tree) *recursiveRef {
 	return &recursiveRef{
 		t:    t,
 		h:    knnheap.New(1),
-		off:  make([]float32, t.Points.Dims),
+		off:  make([]float32, t.dims),
 		dist: make([]float32, mb),
 	}
 }
@@ -66,9 +68,9 @@ func (r *recursiveRef) walk(ni int32, d2 float32) {
 		if lo == hi {
 			return
 		}
-		dims := r.t.Points.Dims
+		pts, _ := r.t.LeafPoints(ni, nil)
 		dist := r.dist[:hi-lo]
-		geom.Dist2Batch(r.q, r.t.Points.Coords[lo*dims:hi*dims], dist)
+		geom.Dist2Batch(r.q, pts.Coords, dist)
 		b := r.bound()
 		for i, d := range dist {
 			if d < b {
@@ -180,27 +182,53 @@ func TestIterativeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestNewSearcherUsesCachedMaxBucket: searcher scratch must cover oversized
-// leaves (indistinguishable points force buckets larger than BucketSize)
-// without a Stats() walk at construction.
-func TestNewSearcherUsesCachedMaxBucket(t *testing.T) {
-	// 100 identical points cannot be split under the mid-range policy
-	// (constant range on every dim): one oversized leaf of 100.
-	pts := geom.NewPoints(100, 3)
+// TestSearcherScratchIsOneMaskBlock: a tree whose 120 identical points
+// form one oversized leaf (they cannot be split) gets a Searcher with
+// exactly one geom.MaskBlock of leaf scratch, and its KNN, radius and
+// CountWithin answers over that leaf, scored 64 points at a time, match
+// brute force.
+func TestSearcherScratchIsOneMaskBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := randomPoints(rng, 300, 3, false)
+	dup := []float32{0.25, 0.5, 0.75}
+	for i := 0; i < 120; i++ {
+		pts.SetAt(i*2, dup)
+	}
 	tree := Build(pts, nil, Options{BucketSize: 8, SplitValue: SplitMidRange})
-	if tree.MaxBucket() != 100 {
-		t.Fatalf("MaxBucket = %d, want 100", tree.MaxBucket())
+	if tree.MaxBucket() <= geom.MaskBlock {
+		t.Fatalf("MaxBucket = %d, want a leaf over %d points", tree.MaxBucket(), geom.MaskBlock)
 	}
 	if st := tree.Stats(); st.MaxBucket != tree.MaxBucket() {
 		t.Fatalf("Stats().MaxBucket = %d, cached = %d", st.MaxBucket, tree.MaxBucket())
 	}
 	s := tree.NewSearcher()
-	if len(s.scratch) < 100 {
-		t.Fatalf("scratch len %d smaller than max bucket", len(s.scratch))
+	if len(s.scratch) != geom.MaskBlock {
+		t.Fatalf("scratch of %d floats, want %d", len(s.scratch), geom.MaskBlock)
 	}
-	got, _ := s.Search([]float32{0, 0, 0}, 3, Inf2, nil)
-	if len(got) != 3 {
-		t.Fatalf("got %d neighbors, want 3", len(got))
+	queries := [][]float32{dup, {0.26, 0.5, 0.74}, {0.9, 0.1, 0.3}}
+	for _, q := range queries {
+		for _, k := range []int{1, 5, 64, 100, 150} {
+			got, _ := s.Search(q, k, Inf2, nil)
+			if want := bruteKNN(pts, q, k); !sameNeighborDistances(got, want) {
+				t.Fatalf("q=%v k=%d: KNN distances differ from brute force", q, k)
+			}
+		}
+		for _, r2 := range []float32{1e-6, 0.01, 0.2} {
+			got, _ := s.RadiusSearch(q, r2, nil)
+			want := bruteRadius(pts, q, r2)
+			sort.Slice(want, func(a, b int) bool {
+				if want[a].Dist2 != want[b].Dist2 {
+					return want[a].Dist2 < want[b].Dist2
+				}
+				return want[a].ID < want[b].ID
+			})
+			if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+				t.Fatalf("q=%v r2=%v: radius answer differs from brute force", q, r2)
+			}
+			if c, _ := s.CountWithin(q, r2); c != len(want) {
+				t.Fatalf("q=%v r2=%v: CountWithin %d, brute force %d", q, r2, c, len(want))
+			}
+		}
 	}
 }
 

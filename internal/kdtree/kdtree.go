@@ -13,7 +13,8 @@
 //  2. thread-parallel: once there are ≥ ~10× threads branches, each thread
 //     builds complete subtrees depth-first from a distinct point subset;
 //  3. SIMD packing: the dataset is shuffled so each leaf bucket's points are
-//     contiguous in memory, making the leaf distance scan a dense loop.
+//     contiguous in memory and leaf-major (one row per dimension), so the
+//     leaf distance scan loads 8 points of a dimension at a time.
 //
 // Shuffling during construction moves only the 32-bit index array, never the
 // points — the paper's shared-memory optimization — until the final packing
@@ -162,8 +163,13 @@ const leafDim = int32(-1)
 
 // Tree is an immutable local kd-tree over a packed point set.
 type Tree struct {
-	// Points holds the bucket-packed points (leaf buckets contiguous).
-	Points geom.Points
+	// coords holds the points packed leaf-major (the paper's SIMD
+	// packing): leaf [lo,hi) of m = hi-lo points occupies
+	// coords[lo*dims:hi*dims] as dims rows of m floats, row j holding
+	// coordinate j of the leaf's points in point order. Every reader goes
+	// through leafRows.
+	coords []float32
+	dims   int
 	// ids maps packed position -> caller point id (global id in the
 	// distributed setting; original index otherwise).
 	ids IDTable
@@ -174,13 +180,10 @@ type Tree struct {
 	root   int32
 	opts   Options
 	height int
-	// maxBucket is the largest leaf size, computed once at Build so
-	// NewSearcher can size its leaf-scan scratch buffer without the
-	// O(nodes) Stats walk the seed performed per searcher.
+	// maxBucket, leaves and bucketSum cache the largest leaf size, the
+	// leaf count and the total bucketed points, computed in one Build
+	// pass, so Stats is O(1) instead of re-walking every node per call.
 	maxBucket int
-	// leaves and bucketSum cache the leaf count and total bucketed points,
-	// computed in the same Build pass as maxBucket, so Stats is O(1)
-	// instead of re-walking every node per call.
 	leaves    int
 	bucketSum int64
 	// splitBounds holds, for each internal node ni at [ni*4:(ni+1)*4],
@@ -211,7 +214,7 @@ type Stats struct {
 // is O(1) rather than a walk over every node.
 func (t *Tree) Stats() Stats {
 	s := Stats{
-		Points: t.Points.Len(), Nodes: len(t.nodes), Height: t.height,
+		Points: t.Len(), Nodes: len(t.nodes), Height: t.height,
 		Leaves: t.leaves, MaxBucket: t.maxBucket,
 	}
 	if t.leaves > 0 {
@@ -231,7 +234,18 @@ func (t *Tree) MaxBucket() int { return t.maxBucket }
 func (t *Tree) IDs() IDTable { return t.ids }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return t.Points.Len() }
+func (t *Tree) Len() int { return len(t.coords) / t.dims }
+
+// Dims returns the dimensionality of the indexed points.
+func (t *Tree) Dims() int { return t.dims }
+
+// leafRows returns leaf n's points leaf-major: dims rows of m =
+// n.end-n.start floats, coordinate j of the leaf's i-th point at
+// rows[j*m+i].
+func (t *Tree) leafRows(n *node) (rows []float32, m int) {
+	lo, hi := int(n.start)*t.dims, int(n.end)*t.dims
+	return t.coords[lo:hi:hi], int(n.end - n.start)
+}
 
 // Options returns the options the tree was built with (defaults resolved).
 func (t *Tree) Options() Options { return t.opts }
@@ -244,7 +258,7 @@ func (t *Tree) validate() error {
 		}
 		return nil
 	}
-	covered := make([]bool, t.Points.Len())
+	covered := make([]bool, t.Len())
 	var walk func(ni int32, depth int) error
 	walk = func(ni int32, depth int) error {
 		if ni < 0 || int(ni) >= len(t.nodes) {
@@ -252,7 +266,7 @@ func (t *Tree) validate() error {
 		}
 		n := t.nodes[ni]
 		if n.dim == leafDim {
-			if n.start > n.end || int(n.end) > t.Points.Len() {
+			if n.start > n.end || int(n.end) > t.Len() {
 				return fmt.Errorf("leaf range [%d,%d) invalid", n.start, n.end)
 			}
 			for i := n.start; i < n.end; i++ {
@@ -263,7 +277,7 @@ func (t *Tree) validate() error {
 			}
 			return nil
 		}
-		if int(n.dim) >= t.Points.Dims {
+		if int(n.dim) >= t.dims {
 			return fmt.Errorf("split dim %d out of range", n.dim)
 		}
 		// Split invariant: all left points ≤ median ≤ all right points
@@ -301,8 +315,9 @@ func (t *Tree) checkSide(ni int32, dim int, median float32, isLeft bool) error {
 		}
 		return t.checkSide(n.right, dim, median, isLeft)
 	}
-	for i := n.start; i < n.end; i++ {
-		v := t.Points.Coord(int(i), dim)
+	rows, m := t.leafRows(&n)
+	for k, v := range rows[dim*m : (dim+1)*m] {
+		i := int(n.start) + k
 		if isLeft && v > median {
 			return fmt.Errorf("left point %d has %v > median %v (dim %d)", i, v, median, dim)
 		}

@@ -502,8 +502,9 @@ func TestStatsSums(t *testing.T) {
 func TestTreeBoxCoversAllPoints(t *testing.T) {
 	d := data.Plasma(2000, 20)
 	tr := Build(d.Points, nil, Options{})
-	for i := 0; i < tr.Points.Len(); i++ {
-		pt := tr.Points.At(i)
+	pts := tr.PackedPoints()
+	for i := 0; i < pts.Len(); i++ {
+		pt := pts.At(i)
 		for dim := 0; dim < 3; dim++ {
 			if pt[dim] < tr.Box.Min[dim] || pt[dim] > tr.Box.Max[dim] {
 				t.Fatalf("point %d outside tree box", i)

@@ -20,7 +20,7 @@ type leafRun struct {
 // runLeafKernel answers qs on tr with kernel as the leaf kernel: KNN at
 // k = 1, 5, 32 (unbounded and capped at the k=32 answer's 16th distance),
 // radius search and CountWithin at that same radius.
-func runLeafKernel(tr *Tree, qs geom.Points, kernel func(q, pts, out []float32, bound float32) uint64) leafRun {
+func runLeafKernel(tr *Tree, qs geom.Points, kernel func(q, rows []float32, stride, n int, out []float32, bound float32) uint64) leafRun {
 	saved := leafMask
 	leafMask = kernel
 	defer func() { leafMask = saved }()

@@ -33,7 +33,7 @@ type Searcher struct {
 
 	t       *Tree
 	h       *knnheap.Heap
-	scratch []float32
+	scratch [geom.MaskBlock]float32 // the leaf kernel's distances
 	stack   []frame
 	r2cap   float32
 	// b caches the current pruning radius r'^2: min(heap max, r2cap) for
@@ -68,20 +68,15 @@ type frame struct {
 	d2   float32
 }
 
-// NewSearcher returns a query context for t. Construction is O(height): the
-// leaf-scan scratch is sized from the MaxBucket cached at Build, and the
-// traversal stack from the tree height (it grows on demand for degenerate
-// trees).
+// NewSearcher returns a query context for t. Construction is O(height):
+// the leaf-scan scratch is one geom.MaskBlock of floats whatever the
+// largest leaf, and the traversal stack is sized from the tree height (it
+// grows on demand for degenerate trees).
 func (t *Tree) NewSearcher() *Searcher {
-	maxBucket := t.maxBucket
-	if maxBucket < t.opts.BucketSize {
-		maxBucket = t.opts.BucketSize
-	}
 	return &Searcher{
-		t:       t,
-		h:       knnheap.New(1),
-		scratch: make([]float32, maxBucket),
-		stack:   make([]frame, 0, t.height+8),
+		t:     t,
+		h:     knnheap.New(1),
+		stack: make([]frame, 0, t.height+8),
 	}
 }
 
@@ -118,7 +113,7 @@ func (s *Searcher) Search(q []float32, k int, r2 float32, out []Neighbor) ([]Nei
 // q, run searchIter from the initial bound b with the given leaf step, and
 // charge the Meter.
 func (s *Searcher) walk(q []float32, r2cap, b float32, step leafStep) {
-	if len(q) != s.t.Points.Dims {
+	if len(q) != s.t.dims {
 		panic("kdtree: query dimensionality mismatch")
 	}
 	s.q, s.r2cap, s.b, s.step = q, r2cap, b, step
@@ -126,7 +121,7 @@ func (s *Searcher) walk(q []float32, r2cap, b float32, step leafStep) {
 	s.searchIter()
 	if s.Meter != nil {
 		s.Meter.Add(simtime.KNodeVisit, s.stats.NodesVisited)
-		s.Meter.Add(simtime.KDist, s.stats.PointsScanned*int64(s.t.Points.Dims))
+		s.Meter.Add(simtime.KDist, s.stats.PointsScanned*int64(s.t.dims))
 		s.Meter.Add(simtime.KHeap, s.stats.HeapPushes)
 	}
 }
@@ -211,8 +206,16 @@ func (s *Searcher) searchIter() {
 			// bound. The bound never grows, so a frame failing this test
 			// now would also fail the re-check at pop time — skipping the
 			// push changes no visit, it just avoids dead stack traffic.
+			// A deferred leaf is usually scanned right after the closer
+			// subtree, so the rows its first half-scan reads are
+			// prefetched now, overlapping their misses with that subtree.
 			if farD2 < s.b {
 				stack = append(stack, frame{node: far, d2: farD2})
+				if fn := &nodes[far]; fn.dim == leafDim {
+					if rows, m := t.leafRows(fn); m <= geom.MaskBlock {
+						geom.Prefetch(rows[:(t.dims+1)/2*m])
+					}
+				}
 			}
 			if closerD2 >= s.b {
 				break // even the closer child's tight region is beyond r'
@@ -241,9 +244,11 @@ func (s *Searcher) searchIter() {
 	s.stack = stack[:0] // keep any capacity growth for the next query
 }
 
-// leafMask is the leaf kernel of both leaf steps, at every dimensionality.
-// Tests swap in geom.Dist2MaskGo to check that the SIMD path changes no
-// answer and no QueryStats count.
+// leafMask is the leaf kernel of both leaf steps, at every dimensionality:
+// it scores up to geom.MaskBlock points of one leaf-major leaf, reading
+// each dimension's row of the block with 8-point loads where the CPU has
+// AVX2. Tests swap in geom.Dist2MaskGo to check that the SIMD path changes
+// no answer and no QueryStats count.
 var leafMask = geom.Dist2Mask
 
 // scanLeaf is the KNN leaf step: it exhaustively scores a packed bucket
@@ -255,22 +260,20 @@ var leafMask = geom.Dist2Mask
 // before it is pushed — the same pushes in the same order as a scalar
 // filter over every point.
 func (s *Searcher) scanLeaf(n *node) {
-	lo, hi := int(n.start), int(n.end)
-	dims := s.t.Points.Dims
-	s.stats.PointsScanned += int64(hi - lo)
-	coords := s.t.Points.Coords
+	rows, m := s.t.leafRows(n)
+	lo := int(n.start)
+	s.stats.PointsScanned += int64(m)
 	ids := &s.t.ids
 	b := s.b
 	r2cap := s.r2cap
 	pushes := int64(0)
-	for c := lo; c < hi; c += geom.MaskBlock {
-		e := min(c+geom.MaskBlock, hi)
-		dist := s.scratch[:e-c]
-		for m := leafMask(s.q, coords[c*dims:e*dims], dist, b); m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
+	dist := &s.scratch
+	for c := 0; c < m; c += geom.MaskBlock {
+		for mask := leafMask(s.q, rows[c:], m, min(m-c, geom.MaskBlock), dist[:], b); mask != 0; mask &= mask - 1 {
+			i := bits.TrailingZeros64(mask)
 			if d := dist[i]; d < b {
 				var ok bool
-				if ok, b = s.h.PushBound(d, ids.At(c+i), r2cap); ok {
+				if ok, b = s.h.PushBound(d, ids.At(lo+c+i), r2cap); ok {
 					pushes++
 				}
 			}
@@ -284,18 +287,16 @@ func (s *Searcher) scanLeaf(n *node) {
 // candidate mask is the exact answer set, counted and, for RadiusSearch,
 // walked in point order.
 func (s *Searcher) radiusScanLeaf(n *node) {
-	lo, hi := int(n.start), int(n.end)
-	dims := s.t.Points.Dims
-	s.stats.PointsScanned += int64(hi - lo)
-	coords := s.t.Points.Coords
-	for c := lo; c < hi; c += geom.MaskBlock {
-		e := min(c+geom.MaskBlock, hi)
-		dist := s.scratch[:e-c]
-		m := leafMask(s.q, coords[c*dims:e*dims], dist, s.b)
-		s.count += bits.OnesCount64(m)
-		for ; s.step == collectStep && m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			s.out = append(s.out, Neighbor{ID: s.t.ids.At(c + i), Dist2: dist[i]})
+	rows, m := s.t.leafRows(n)
+	lo := int(n.start)
+	s.stats.PointsScanned += int64(m)
+	dist := &s.scratch
+	for c := 0; c < m; c += geom.MaskBlock {
+		mask := leafMask(s.q, rows[c:], m, min(m-c, geom.MaskBlock), dist[:], s.b)
+		s.count += bits.OnesCount64(mask)
+		for ; s.step == collectStep && mask != 0; mask &= mask - 1 {
+			i := bits.TrailingZeros64(mask)
+			s.out = append(s.out, Neighbor{ID: s.t.ids.At(lo + c + i), Dist2: dist[i]})
 		}
 	}
 }

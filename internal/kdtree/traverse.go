@@ -1,6 +1,10 @@
 package kdtree
 
-import "panda/internal/geom"
+import (
+	"slices"
+
+	"panda/internal/geom"
+)
 
 // Low-level structural accessors for external traversal schemes (the
 // buffered-query baseline walks the tree with its own scheduling). They
@@ -25,14 +29,35 @@ func (t *Tree) NodeInfo(ni int32) (dim int, median float32, left, right int32, i
 	return int(n.dim), n.median, n.left, n.right, false
 }
 
-// LeafPoints returns the packed points and ids of leaf ni (empty when ni is
-// not a leaf). The returned values alias tree storage; callers must not
-// modify them.
-func (t *Tree) LeafPoints(ni int32) (geom.Points, IDTable) {
+// PackedPoints returns a row-major copy of the tree's points in packed
+// order: point i is the one IDs().At(i) names.
+func (t *Tree) PackedPoints() geom.Points {
+	out := geom.NewPoints(t.Len(), t.dims)
+	for ni := range t.nodes {
+		if n := &t.nodes[ni]; n.dim == leafDim {
+			// A zero-length buf with exactly the leaf's capacity: LeafPoints
+			// writes the leaf's rows in place.
+			lo, hi := int(n.start)*t.dims, int(n.end)*t.dims
+			t.LeafPoints(int32(ni), out.Coords[lo:lo:hi])
+		}
+	}
+	return out
+}
+
+// LeafPoints returns leaf ni's points as a row-major copy in buf (grown
+// when too small) and its ids; both are empty when ni is not a leaf. The
+// ids alias tree storage; callers must not modify them.
+func (t *Tree) LeafPoints(ni int32, buf []float32) (geom.Points, IDTable) {
 	n := &t.nodes[ni]
 	if n.dim != leafDim {
-		return geom.Points{Dims: t.Points.Dims}, IDTable{}
+		return geom.Points{Dims: t.dims}, IDTable{}
 	}
-	lo, hi := int(n.start), int(n.end)
-	return t.Points.Slice(lo, hi), t.ids.Slice(lo, hi)
+	rows, m := t.leafRows(n)
+	buf = slices.Grow(buf[:0], len(rows))[:len(rows)]
+	for j := 0; j < t.dims; j++ {
+		for i, v := range rows[j*m : (j+1)*m] {
+			buf[i*t.dims+j] = v
+		}
+	}
+	return geom.Points{Coords: buf, Dims: t.dims}, t.ids.Slice(int(n.start), int(n.end))
 }

@@ -24,7 +24,7 @@ func TestNodeInfoAndLeafPointsCoverTree(t *testing.T) {
 	walk = func(ni int32) {
 		dim, median, left, right, isLeaf := tr.NodeInfo(ni)
 		if isLeaf {
-			pts, ids := tr.LeafPoints(ni)
+			pts, ids := tr.LeafPoints(ni, nil)
 			if pts.Len() != ids.Len() {
 				t.Fatal("leaf points/ids length mismatch")
 			}
@@ -58,7 +58,7 @@ func TestLeafPointsOnInternalNode(t *testing.T) {
 	if _, _, _, _, isLeaf := tr.NodeInfo(root); isLeaf {
 		t.Skip("tree degenerated to a single leaf")
 	}
-	pts, ids := tr.LeafPoints(root)
+	pts, ids := tr.LeafPoints(root, nil)
 	if pts.Len() != 0 || ids.Len() != 0 {
 		t.Fatal("LeafPoints on internal node must be empty")
 	}

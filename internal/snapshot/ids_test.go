@@ -20,8 +20,8 @@ var loaders = []struct {
 	load func(string) (*Snapshot, error)
 }{{"open", Open}, {"read", Read}}
 
-// v1Golden records a version 1 snapshot in testdata: how its tree was
-// built, its fingerprint, and its answers (id, float32 distance bits) to
+// v1Golden records a version 1 or 2 snapshot in testdata: how its tree
+// was built, its fingerprint, and its answers (id, float32 distance bits) to
 // data.Uniform(16, dims, 99) at k and at radius² r2.
 type v1Golden struct {
 	File        string  `json:"file"`
@@ -30,6 +30,7 @@ type v1Golden struct {
 	Seed        uint64  `json:"seed"`
 	IDBase      int64   `json:"id_base"`
 	IDStride    int64   `json:"id_stride"`
+	Bucket      int     `json:"bucket"` // 0: 8, the bucket size of every version 1 file
 	Fingerprint string  `json:"fingerprint"`
 	K           int     `json:"k"`
 	R2          float32 `json:"r2"`

@@ -46,8 +46,8 @@ func parseHeader(data []byte) (header, error) {
 	}
 	le := binary.LittleEndian
 	h.version = le.Uint32(data[4:])
-	if h.version != 1 && h.version != Version {
-		return h, errCorrupt("unsupported version %d (this build reads 1 and %d)", h.version, Version)
+	if h.version < 1 || h.version > Version {
+		return h, errCorrupt("unsupported version %d (this build reads 1 to %d)", h.version, Version)
 	}
 	if hs := le.Uint32(data[8:]); hs != headerSize {
 		return h, errCorrupt("header size %d, want %d", hs, headerSize)
@@ -264,6 +264,7 @@ func Decode(data []byte, forceCopy bool) (*Snapshot, error) {
 	s.Raw = kdtree.Raw{
 		Dims:        h.dims,
 		Coords:      coords,
+		RowMajor:    h.version < 3,
 		IDs:         ids,
 		NodesLE:     nodesB, // kdtree.FromRaw reinterprets or decodes as the host allows
 		SplitBounds: sb,
@@ -444,7 +445,7 @@ func ReadInfo(path string) (*Info, error) {
 		CRCOK:      checkCRC(data) == nil,
 		Sections:   infos,
 	}
-	// The fingerprint hashes the section bytes exactly as the materialized
+	// The fingerprint hashes the sections exactly as the materialized
 	// tree's Raw arrays would hash, so inspect reports the id a server
 	// loading this file will advertise. Only computable when all three data
 	// sections carry their declared sizes.
@@ -452,8 +453,10 @@ func ReadInfo(path string) (*Info, error) {
 	idsB, narrow, ierr := idSection(secs, h)
 	nodesB, nerr := section(secs, secNodes, h.nodeCount*kdtree.NodeBytes)
 	if perr == nil && ierr == nil && nerr == nil {
+		coords, _ := asFloat32s(ptsB, false)
 		ids, _ := decodeIDs(idsB, narrow, false)
-		info.Fingerprint = kdtree.FingerprintSections(h.dims, ptsB, ids, nodesB)
+		raw := kdtree.Raw{Dims: h.dims, Coords: coords, RowMajor: h.version < 3, IDs: ids, NodesLE: nodesB}
+		info.Fingerprint = raw.Fingerprint()
 	}
 	for _, si := range infos {
 		if si.ID == secCluster {

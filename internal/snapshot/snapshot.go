@@ -16,7 +16,7 @@
 //
 // Sections (lengths must match the header's counts exactly):
 //
-//	1 points       pointCount×dims float32 — bucket-packed coordinates
+//	1 points       pointCount×dims float32 — leaf-major packed coordinates
 //	2 ids          pointCount int64        — packed position -> caller id (wide)
 //	7 ids32        int64 + pointCount×uint32 — base, then per-point offsets (narrow)
 //	3 nodes        nodeCount×24 byte       — kdtree node records (see kdtree.Raw)
@@ -31,12 +31,17 @@
 // a compatibility mechanism — unknown section ids are an error, and format
 // evolution bumps the version.
 //
+// The points section is leaf-major, as the tree holds it: each leaf of m
+// points is dims rows of m floats, so the mmap path opens it zero-copy.
+//
 // # Versions
 //
-// Version 2 added the ids32 section; it is the only version written.
-// Version 1 files carry the ids section only and still open, on both the
-// mmap and the copying path, as trees with a wide id table. Readers of
-// version 1 alone cannot open version 2 files.
+// Version 3 made the points section leaf-major; it is the only version
+// written. Version 2 added the ids32 section. Version 1 and 2 files store
+// their points row-major (point i at [i*dims, (i+1)*dims)) and still open
+// on both the mmap and the copying path: kdtree.FromRaw transposes their
+// points once into a heap copy, and a version 1 file opens as a tree with
+// a wide id table. Readers of an older version cannot open newer files.
 //
 // # Zero-copy contract
 //
@@ -68,8 +73,8 @@ var (
 )
 
 // Version is the snapshot format version this package writes. It reads
-// this version and version 1.
-const Version = 2
+// every version from 1 up to this one.
+const Version = 3
 
 // ShardFile names shard s's snapshot inside a cluster snapshot directory.
 func ShardFile(dir string, s int) string {

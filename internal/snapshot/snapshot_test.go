@@ -40,7 +40,7 @@ func writeTestSnapshot(t *testing.T, tree *kdtree.Tree, meta *ClusterMeta) strin
 // checkIdentical asserts both trees answer a mixed workload bit-identically.
 func checkIdentical(t *testing.T, want, got *kdtree.Tree, queries int) {
 	t.Helper()
-	dims := want.Points.Dims
+	dims := want.Dims()
 	rng := rand.New(rand.NewSource(3))
 	q := make([]float32, dims)
 	sw := want.NewSearcher()

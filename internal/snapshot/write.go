@@ -99,6 +99,9 @@ func write(f io.Writer, d *Data) error {
 		return fmt.Errorf("snapshot: dims %d out of range", raw.Dims)
 	}
 	n := raw.IDs.Len()
+	if raw.RowMajor {
+		return fmt.Errorf("snapshot: row-major points; write the Raw of a tree opened with kdtree.FromRaw")
+	}
 	if len(raw.Coords) != n*raw.Dims {
 		return fmt.Errorf("snapshot: %d coords for %d points of dim %d", len(raw.Coords), n, raw.Dims)
 	}

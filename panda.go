@@ -244,7 +244,7 @@ func (t *Tree) Stats() TreeStats {
 func (t *Tree) Len() int { return t.t.Len() }
 
 // Dims returns the point dimensionality.
-func (t *Tree) Dims() int { return t.t.Points.Dims }
+func (t *Tree) Dims() int { return t.t.Dims() }
 
 // KNN returns the k nearest neighbors of q sorted by ascending distance
 // (exact; ties broken by id). Non-finite query coordinates (NaN/±Inf) make
@@ -321,7 +321,7 @@ func (t *Tree) KNNBatchFlat(queries []float32, k int) ([]Neighbor, []int32, erro
 // dispatch loop does — runs the whole batch path with zero steady-state
 // allocations.
 func (t *Tree) KNNBatchFlatInto(queries []float32, k int, flat []Neighbor, offsets []int32) ([]Neighbor, []int32, error) {
-	dims := t.t.Points.Dims
+	dims := t.t.Dims()
 	if dims == 0 || len(queries)%dims != 0 {
 		return nil, nil, fmt.Errorf("panda: query buffer not a multiple of dims %d", dims)
 	}
