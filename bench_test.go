@@ -37,7 +37,7 @@ func BenchmarkTable1_DistributedConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Run(4, 4, func(c *cluster.Comm) error {
 			pts, ids := benchShard(d.Points, 4, c.Rank())
-			_, err := core.BuildDistributed(c, pts, ids, core.Options{})
+			_, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 			return err
 		})
 		if err != nil {
@@ -54,7 +54,7 @@ func BenchmarkTable1_DistributedQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Run(4, 4, func(c *cluster.Comm) error {
 			pts, ids := benchShard(d.Points, 4, c.Rank())
-			dt, err := core.BuildDistributed(c, pts, ids, core.Options{})
+			dt, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 			if err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func BenchmarkFig4_StrongScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := cluster.Run(ranks, 4, func(c *cluster.Comm) error {
 					pts, ids := benchShard(d.Points, ranks, c.Rank())
-					dt, err := core.BuildDistributed(c, pts, ids, core.Options{})
+					dt, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 					if err != nil {
 						return err
 					}
@@ -102,7 +102,7 @@ func BenchmarkFig5_WeakScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := cluster.Run(ranks, 4, func(c *cluster.Comm) error {
 					pts, ids := benchShard(d.Points, ranks, c.Rank())
-					_, err := core.BuildDistributed(c, pts, ids, core.Options{})
+					_, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 					return err
 				})
 				if err != nil {
@@ -200,7 +200,7 @@ func BenchmarkFig8c_DistributedQueryKNL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Run(8, 4, func(c *cluster.Comm) error {
 			pts, ids := benchShard(d.Points, 8, c.Rank())
-			dt, err := core.BuildDistributed(c, pts, ids, core.Options{})
+			dt, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 			if err != nil {
 				return err
 			}
@@ -299,7 +299,7 @@ func BenchmarkStrawman_LocalTreesEverywhere(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := cluster.Run(4, 2, func(c *cluster.Comm) error {
 				pts, ids := benchShard(d.Points, 4, c.Rank())
-				dt, err := core.BuildDistributed(c, pts, ids, core.Options{})
+				dt, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 				if err != nil {
 					return err
 				}

@@ -58,8 +58,8 @@ type DistTree struct {
 
 // Build constructs the distributed kd-tree over this rank's point shard
 // (SPMD: every rank must call it). ids are global point identifiers (nil
-// derives unique defaults). opts configures the local trees and, through
-// the split policies, the global tree.
+// derives unique defaults). opts configures the local trees; the global
+// tree always splits on the dimension of maximum variance.
 func (n *Node) Build(coords []float32, dims int, ids []int64, opts *BuildOptions) (*DistTree, error) {
 	if dims <= 0 || len(coords)%dims != 0 {
 		return nil, fmt.Errorf("panda: %d coords not a multiple of dims %d", len(coords), dims)
@@ -68,7 +68,7 @@ func (n *Node) Build(coords []float32, dims int, ids []int64, opts *BuildOptions
 	if err != nil {
 		return nil, err
 	}
-	dt, err := core.BuildDistributed(n.comm, geom.FromCoords(coords, dims), ids, core.Options{Local: kopts})
+	dt, err := core.BuildDistributed(n.comm, geom.FromCoords(coords, dims), ids, kopts)
 	if err != nil {
 		return nil, err
 	}

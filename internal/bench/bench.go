@@ -93,7 +93,7 @@ func runDistributed(cfg Config, d data.Dataset, ranks, threads, k int, queryFrac
 	out.LocalSizes = make([]int, ranks)
 	recs, err := cluster.Run(ranks, threads, func(c *cluster.Comm) error {
 		pts, ids := shardPoints(d.Points, ranks, c.Rank())
-		dt, err := core.BuildDistributed(c, pts, ids, core.Options{})
+		dt, err := core.BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}

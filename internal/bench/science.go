@@ -7,6 +7,7 @@ import (
 	"panda/internal/core"
 	"panda/internal/data"
 	"panda/internal/geom"
+	"panda/internal/kdtree"
 	"panda/internal/knnheap"
 )
 
@@ -33,7 +34,7 @@ func Science(cfg Config) error {
 	var votes []vote
 	_, err := cluster.Run(ranks, 2, func(c *cluster.Comm) error {
 		train, ids := shardPoints(d.Points.Slice(0, nTrain), ranks, c.Rank())
-		dt, err := core.BuildDistributed(c, train, ids, core.Options{})
+		dt, err := core.BuildDistributed(c, train, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}

@@ -19,27 +19,9 @@ const (
 	PhaseRedistribute = "redistribute particles"
 )
 
-// DefaultGlobalSamples is the paper's per-rank sample count for global
-// split selection (m = 256 for the global kd-tree, §III-A1).
-const DefaultGlobalSamples = 256
-
-// Options configures distributed construction.
-type Options struct {
-	// Local configures each rank's local kd-tree. Threads and Recorder
-	// are filled in from the Comm; the split policies also govern the
-	// global tree's dimension selection.
-	Local kdtree.Options
-	// GlobalSamples is the per-rank sample count m for global split
-	// selection; 0 means DefaultGlobalSamples.
-	GlobalSamples int
-}
-
-func (o Options) withDefaults() Options {
-	if o.GlobalSamples <= 0 {
-		o.GlobalSamples = DefaultGlobalSamples
-	}
-	return o
-}
+// globalSamples is the paper's per-rank sample count for global split
+// selection (m = 256 for the global kd-tree, §III-A1).
+const globalSamples = 256
 
 // DistTree is one rank's view of the distributed kd-tree: the replicated
 // global partition tree plus this rank's local tree over the points it owns
@@ -50,7 +32,6 @@ type DistTree struct {
 
 	comm *cluster.Comm
 	dims int
-	opts Options
 	// rank and size are cached from the communicator at build (or supplied
 	// directly by RestoreDistTree), so the serving read path never touches
 	// comm — a snapshot-restored tree has none.
@@ -117,15 +98,16 @@ func agreeOnShards(c *cluster.Comm, pts geom.Points) error {
 // BuildDistributed constructs the distributed kd-tree over each rank's
 // point shard (SPMD: every rank calls it with its own points). ids are
 // global point identifiers (nil derives rank-unique ids as
-// rank<<40 | index). The returned tree owns redistributed copies; pts is
-// not modified.
+// rank<<40 | index). opts configures each rank's local kd-tree (Threads and
+// Recorder are filled in from the Comm); the global tree always splits on
+// the maximum-variance dimension (see bestDim). The returned tree owns
+// redistributed copies; pts is not modified.
 //
 // The build follows §III-A: log2(P) rounds of (global split selection via
 // sampled histograms → point redistribution), then the local kd-tree
 // stages. All split decisions are replicated deterministically on every
 // rank, so the global tree needs no extra broadcast.
-func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Options) (*DistTree, error) {
-	opts = opts.withDefaults()
+func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts kdtree.Options) (*DistTree, error) {
 	p, rank := c.Size(), c.Rank()
 	dims := pts.Dims
 
@@ -199,7 +181,7 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 			if key[1]-key[0] <= 1 {
 				continue // singleton groups are done splitting
 			}
-			groupDim[key] = gs.bestDim(opts.Local.SplitPolicy)
+			groupDim[key] = gs.bestDim()
 		}
 
 		// Round 2: sample m values along the group's dimension. The
@@ -208,7 +190,7 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 		myKey := groupKey{lo, hi}
 		var mySamples []float32
 		if dim, ok := groupDim[myKey]; ok {
-			mySamples = sampleValues(coords, dims, dim, opts.GlobalSamples)
+			mySamples = sampleValues(coords, dims, dim, globalSamples)
 			chargeAll(c, simtime.KSample, int64(len(mySamples)))
 		}
 		buf = wire.AppendInt32(nil, int32(lo))
@@ -235,12 +217,8 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 		if dim, ok := groupDim[myKey]; ok {
 			iv := sample.NewIntervals(capBoundaries(myGroupSamples, maxGlobalIntervals))
 			idx := identityIdx(n)
-			hist := iv.HistogramPar(coords, dims, dim, idx, !opts.Local.UseBinaryHistogram, pool)
-			if opts.Local.UseBinaryHistogram {
-				chargeAll(c, simtime.KHistBinary, int64(n))
-			} else {
-				chargeAll(c, simtime.KHistScan, int64(n))
-			}
+			hist := iv.HistogramPar(coords, dims, dim, idx, pool)
+			chargeAll(c, simtime.KHistScan, int64(n))
 			hist = c.GroupAllReduceInt64(lo, hi, hist)
 			mid := lo + (hi-lo)/2
 			frac := float64(mid-lo) / float64(hi-lo)
@@ -323,12 +301,11 @@ func BuildDistributed(c *cluster.Comm, pts geom.Points, ids []int64, opts Option
 	}
 
 	// Local kd-tree over the points this rank now owns (§III-A ii–iv).
-	lopts := opts.Local
-	lopts.Threads = threads
-	lopts.Recorder = c.Recorder()
-	local := kdtree.Build(geom.FromCoords(coords, dims), myIDs, lopts)
+	opts.Threads = threads
+	opts.Recorder = c.Recorder()
+	local := kdtree.Build(geom.FromCoords(coords, dims), myIDs, opts)
 
-	return &DistTree{Global: global, Local: local, comm: c, dims: dims, opts: opts, rank: rank, size: p}, nil
+	return &DistTree{Global: global, Local: local, comm: c, dims: dims, rank: rank, size: p}, nil
 }
 
 type groupStat struct {
@@ -337,13 +314,12 @@ type groupStat struct {
 	sum2  []float64
 }
 
-// bestDim picks the split dimension from group-wide moments, mirroring
-// sample.ChooseDimension's policies at cluster scope.
-func (g *groupStat) bestDim(policy sample.SplitPolicy) int {
-	// MaxRange needs min/max which moments don't carry; variance of a
-	// bounded distribution still tracks spread, so the global tree uses
-	// variance for both policies. The local trees honour the policy
-	// exactly; the ablation measures the local effect.
+// bestDim picks the split dimension of maximum group-wide variance.
+// sample.MaxRange would need min/max, which moments don't carry; variance of
+// a bounded distribution still tracks spread, so the global tree uses
+// variance under every split policy. The local trees honour the policy
+// exactly; the ablation measures the local effect.
+func (g *groupStat) bestDim() int {
 	best, bestVar := 0, -1.0
 	if g.count == 0 {
 		return 0
@@ -355,7 +331,6 @@ func (g *groupStat) bestDim(policy sample.SplitPolicy) int {
 			best, bestVar = d, variance
 		}
 	}
-	_ = policy
 	return best
 }
 

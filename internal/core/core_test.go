@@ -46,12 +46,12 @@ func bruteKNN(pts geom.Points, q []float32, k int) []kdtree.Neighbor {
 
 // buildOn runs a distributed build over p ranks and returns each rank's
 // tree plus recorders.
-func buildOn(t *testing.T, d geom.Points, p, threads int, opts Options) ([]*DistTree, []*simtime.Recorder) {
+func buildOn(t *testing.T, d geom.Points, p, threads int) ([]*DistTree, []*simtime.Recorder) {
 	t.Helper()
 	trees := make([]*DistTree, p)
 	recs, err := cluster.Run(p, threads, func(c *cluster.Comm) error {
 		pts, ids := shard(d, p, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, opts)
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func TestGlobalTreeValidateCatchesDuplicates(t *testing.T) {
 func TestBuildDistributedConservesPoints(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		d := data.Cosmo(4000, 42)
-		trees, _ := buildOn(t, d.Points, p, 2, Options{})
+		trees, _ := buildOn(t, d.Points, p, 2)
 		total := 0
 		seen := make(map[int64]int)
 		for _, dt := range trees {
@@ -196,7 +196,7 @@ func TestBuildDistributedOwnershipMatchesDomains(t *testing.T) {
 	// Every point must land on the rank whose global-tree domain contains
 	// it — the invariant that makes single-owner routing correct.
 	d := data.Plasma(3000, 7)
-	trees, _ := buildOn(t, d.Points, 4, 1, Options{})
+	trees, _ := buildOn(t, d.Points, 4, 1)
 	g := trees[0].Global
 	for r, dt := range trees {
 		pts := dt.Local.PackedPoints()
@@ -212,7 +212,7 @@ func TestBuildDistributedBalance(t *testing.T) {
 	// The sampled-histogram split should keep shard sizes within ~25% of
 	// the mean on smooth data.
 	d := data.Uniform(16000, 3, 9)
-	trees, _ := buildOn(t, d.Points, 8, 1, Options{})
+	trees, _ := buildOn(t, d.Points, 8, 1)
 	mean := 16000 / 8
 	for r, dt := range trees {
 		n := dt.Local.Len()
@@ -224,7 +224,7 @@ func TestBuildDistributedBalance(t *testing.T) {
 
 func TestBuildDistributedGlobalTreesIdentical(t *testing.T) {
 	d := data.Cosmo(2000, 17)
-	trees, _ := buildOn(t, d.Points, 4, 1, Options{})
+	trees, _ := buildOn(t, d.Points, 4, 1)
 	ref := trees[0].Global
 	for r := 1; r < 4; r++ {
 		g := trees[r].Global
@@ -242,7 +242,7 @@ func TestBuildDistributedGlobalTreesIdentical(t *testing.T) {
 func TestBuildDistributedNonPowerOfTwo(t *testing.T) {
 	for _, p := range []int{3, 5, 6} {
 		d := data.Uniform(6000, 3, 23)
-		trees, _ := buildOn(t, d.Points, p, 1, Options{})
+		trees, _ := buildOn(t, d.Points, p, 1)
 		total := 0
 		for _, dt := range trees {
 			total += dt.Local.Len()
@@ -258,7 +258,7 @@ func TestBuildDistributedNonPowerOfTwo(t *testing.T) {
 
 func TestBuildDistributedMeterPhases(t *testing.T) {
 	d := data.Cosmo(4000, 3)
-	_, recs := buildOn(t, d.Points, 4, 2, Options{})
+	_, recs := buildOn(t, d.Points, 4, 2)
 	for r, rec := range recs {
 		for _, phase := range []string{PhaseGlobalTree, PhaseRedistribute, kdtree.PhaseDataParallel, kdtree.PhasePack} {
 			if rec.Get(phase) == nil {
@@ -278,7 +278,7 @@ func TestBuildDistributedDimsMismatch(t *testing.T) {
 		if c.Rank() == 1 {
 			dims = 2
 		}
-		_, err := BuildDistributed(c, geom.NewPoints(10, dims), nil, Options{})
+		_, err := BuildDistributed(c, geom.NewPoints(10, dims), nil, kdtree.Options{})
 		return err
 	})
 	if err == nil {
@@ -288,7 +288,7 @@ func TestBuildDistributedDimsMismatch(t *testing.T) {
 
 // runDistributedKNN builds on p ranks, queries qFrac of the points, and
 // checks exactness against brute force.
-func runDistributedKNN(t *testing.T, d geom.Points, p, threads, k int, opts Options, qopts QueryOptions) {
+func runDistributedKNN(t *testing.T, d geom.Points, p, threads, k int, qopts QueryOptions) {
 	t.Helper()
 	type rankOut struct {
 		qids    []int64
@@ -298,7 +298,7 @@ func runDistributedKNN(t *testing.T, d geom.Points, p, threads, k int, opts Opti
 	var mu sync.Mutex
 	_, err := cluster.Run(p, threads, func(c *cluster.Comm) error {
 		pts, ids := shard(d, p, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, opts)
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -349,48 +349,48 @@ func runDistributedKNN(t *testing.T, d geom.Points, p, threads, k int, opts Opti
 }
 
 func TestDistributedKNNExactUniform(t *testing.T) {
-	runDistributedKNN(t, data.Uniform(2000, 3, 31).Points, 4, 2, 5, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.Uniform(2000, 3, 31).Points, 4, 2, 5, QueryOptions{})
 }
 
 func TestDistributedKNNExactCosmo(t *testing.T) {
-	runDistributedKNN(t, data.Cosmo(2400, 33).Points, 4, 1, 5, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.Cosmo(2400, 33).Points, 4, 1, 5, QueryOptions{})
 }
 
 func TestDistributedKNNExactPlasma(t *testing.T) {
-	runDistributedKNN(t, data.Plasma(2000, 35).Points, 8, 1, 3, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.Plasma(2000, 35).Points, 8, 1, 3, QueryOptions{})
 }
 
 func TestDistributedKNNExactDayaBay(t *testing.T) {
 	// 10-D co-located records: the hard case for domain pruning.
-	runDistributedKNN(t, data.DayaBay(1600, 37).Points, 4, 1, 5, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.DayaBay(1600, 37).Points, 4, 1, 5, QueryOptions{})
 }
 
 func TestDistributedKNNExactNonPowerOfTwoRanks(t *testing.T) {
-	runDistributedKNN(t, data.Uniform(1800, 3, 39).Points, 3, 1, 4, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.Uniform(1800, 3, 39).Points, 3, 1, 4, QueryOptions{})
 }
 
 func TestDistributedKNNSmallBatches(t *testing.T) {
 	// Multiple pipeline rounds (batch smaller than the per-rank query
 	// count) must return the same exact results.
-	runDistributedKNN(t, data.Uniform(1600, 3, 41).Points, 4, 1, 5, Options{}, QueryOptions{BatchSize: 16})
+	runDistributedKNN(t, data.Uniform(1600, 3, 41).Points, 4, 1, 5, QueryOptions{BatchSize: 16})
 }
 
 func TestDistributedKNNSingleRank(t *testing.T) {
-	runDistributedKNN(t, data.Cosmo(1000, 43).Points, 1, 2, 5, Options{}, QueryOptions{})
+	runDistributedKNN(t, data.Cosmo(1000, 43).Points, 1, 2, 5, QueryOptions{})
 }
 
 func TestDistributedKNNKLargerThanLocalShard(t *testing.T) {
 	// k exceeds some ranks' shard sizes: owners must fan out with r'=inf
 	// and still produce exact global results.
 	d := data.Uniform(64, 2, 45).Points
-	runDistributedKNN(t, d, 4, 1, 20, Options{}, QueryOptions{})
+	runDistributedKNN(t, d, 4, 1, 20, QueryOptions{})
 }
 
 func TestQueryBatchValidation(t *testing.T) {
 	d := data.Uniform(200, 3, 47)
 	_, err := cluster.Run(2, 1, func(c *cluster.Comm) error {
 		pts, ids := shard(d.Points, 2, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -417,7 +417,7 @@ func TestQueryTraceCounters(t *testing.T) {
 	traces := make([]*QueryTrace, 4)
 	_, err := cluster.Run(4, 1, func(c *cluster.Comm) error {
 		pts, ids := shard(d.Points, 4, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -458,7 +458,7 @@ func TestQueryPhasesRecorded(t *testing.T) {
 	recs := func() []*simtime.Recorder {
 		recs, err := cluster.Run(4, 2, func(c *cluster.Comm) error {
 			pts, ids := shard(d.Points, 4, c.Rank())
-			dt, err := BuildDistributed(c, pts, ids, Options{})
+			dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 			if err != nil {
 				return err
 			}
@@ -498,7 +498,7 @@ func TestDistributedMatchesSingleRankResults(t *testing.T) {
 		var mu sync.Mutex
 		_, err := cluster.Run(p, 1, func(c *cluster.Comm) error {
 			pts, ids := shard(d.Points, p, c.Rank())
-			dt, err := BuildDistributed(c, pts, ids, Options{})
+			dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,7 @@ func captureRun(t *testing.T, seed uint64, p int) ([]GlobalNode, map[int64][]kdt
 	var mu sync.Mutex
 	_, err := cluster.Run(p, 2, func(c *cluster.Comm) error {
 		pts, ids := shard(d.Points, p, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}

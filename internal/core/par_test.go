@@ -6,6 +6,7 @@ import (
 
 	"panda/internal/cluster"
 	"panda/internal/data"
+	"panda/internal/kdtree"
 	"panda/internal/par"
 )
 
@@ -106,7 +107,7 @@ func TestDistributedBuildInvariantToRealWorkers(t *testing.T) {
 		locals := make([][]byte, 4)
 		_, err := cluster.Run(4, 4, func(c *cluster.Comm) error {
 			pts, ids := shard(d.Points, 4, c.Rank())
-			dt, err := BuildDistributed(c, pts, ids, Options{})
+			dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 			if err != nil {
 				return err
 			}

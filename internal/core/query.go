@@ -10,6 +10,7 @@ import (
 	"panda/internal/geom"
 	"panda/internal/kdtree"
 	"panda/internal/knnheap"
+	"panda/internal/par"
 	"panda/internal/simtime"
 	"panda/internal/wire"
 )
@@ -145,6 +146,7 @@ type queryEngine struct {
 
 	searchers []*kdtree.Searcher  // one per worker, reused across rounds
 	nbrBufs   [][]kdtree.Neighbor // per-worker result arenas
+	pool      *par.Pool           // real workers for the identify-remote stage
 }
 
 func newQueryEngine(dt *DistTree, k int) *queryEngine {
@@ -154,6 +156,7 @@ func newQueryEngine(dt *DistTree, k int) *queryEngine {
 		k:         k,
 		searchers: make([]*kdtree.Searcher, t),
 		nbrBufs:   make([][]kdtree.Neighbor, t),
+		pool:      par.NewPool(t),
 	}
 	for i := range e.searchers {
 		e.searchers[i] = dt.Local.NewSearcher()
@@ -306,10 +309,14 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 
 	// Step 3 — identify remote ranks within r' (§III-B step 3).
 	ipm := c.Phase(PhaseIdentifyRemote)
+	// Thread t's task handles items t, t+T, … and charges only meter t, so
+	// the meters match a sequential pass whichever worker runs the task.
 	remoteTargets := make([][]int, len(owned))
-	e.parallelOver(len(owned), func(i, thread int) {
-		q := owned[i]
-		remoteTargets[i] = dt.Global.RanksWithin(q.coords, q.r2, rank, ipm.Thread(thread), nil)
+	e.pool.ForEach(threads, func(t int) {
+		for i := t; i < len(owned); i += threads {
+			q := owned[i]
+			remoteTargets[i] = dt.Global.RanksWithin(q.coords, q.r2, rank, ipm.Thread(t), nil)
+		}
 	})
 	reqBufs := make([][]byte, p)
 	reqCounts := make([]int, p)
@@ -477,46 +484,6 @@ func (e *queryEngine) runRound(queries geom.Points, qids []int64, lo, hi int, tr
 	}
 	sort.Slice(finished, func(a, b int) bool { return finished[a].QID < finished[b].QID })
 	return finished
-}
-
-// parallelOver distributes n independent items across the simulated
-// threads (item i → thread i%T) with real goroutine parallelism up to
-// GOMAXPROCS. Each item's work must touch only per-thread state.
-func (e *queryEngine) parallelOver(n int, fn func(item, thread int)) {
-	threads := len(e.searchers)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > threads {
-		workers = threads
-	}
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		for t := 0; t < threads; t++ {
-			for i := t; i < n; i += threads {
-				fn(i, t)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	tchan := make(chan int, threads)
-	for t := 0; t < threads; t++ {
-		tchan <- t
-	}
-	close(tchan)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tchan {
-				for i := t; i < n; i += threads {
-					fn(i, t)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func coordBytes(coords []float32) []byte {

@@ -8,6 +8,7 @@ import (
 	"panda/internal/cluster"
 	"panda/internal/data"
 	"panda/internal/geom"
+	"panda/internal/kdtree"
 	"panda/internal/simtime"
 )
 
@@ -19,7 +20,7 @@ func TestQueryBatchEmptyQuerySet(t *testing.T) {
 	var mu sync.Mutex
 	_, err := cluster.Run(4, 1, func(c *cluster.Comm) error {
 		pts, ids := shard(d.Points, 4, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -54,7 +55,7 @@ func TestQueryBatchQueriesOutsideDataDomain(t *testing.T) {
 	d := data.Uniform(1000, 3, 63)
 	_, err := cluster.Run(4, 1, func(c *cluster.Comm) error {
 		pts, ids := shard(d.Points, 4, c.Rank())
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func TestQueryBatchDuplicateQIDsWithinRank(t *testing.T) {
 	d := data.Uniform(400, 3, 65)
 	_, err := cluster.Run(2, 1, func(c *cluster.Comm) error {
 		pts, _ := shard(d.Points, 2, c.Rank())
-		dt, err := BuildDistributed(c, pts, nil, Options{})
+		dt, err := BuildDistributed(c, pts, nil, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -109,7 +110,7 @@ func TestBuildDistributedEmptyRankShard(t *testing.T) {
 		} else {
 			pts, ids = shard(d.Points, 3, c.Rank())
 		}
-		dt, err := BuildDistributed(c, pts, ids, Options{})
+		dt, err := BuildDistributed(c, pts, ids, kdtree.Options{})
 		if err != nil {
 			return err
 		}
@@ -134,7 +135,7 @@ func TestBuildDistributedDefaultIDsUnique(t *testing.T) {
 	var mu sync.Mutex
 	_, err := cluster.Run(4, 1, func(c *cluster.Comm) error {
 		pts, _ := shard(d.Points, 4, c.Rank())
-		dt, err := BuildDistributed(c, pts, nil, Options{}) // nil ids
+		dt, err := BuildDistributed(c, pts, nil, kdtree.Options{}) // nil ids
 		if err != nil {
 			return err
 		}

@@ -80,16 +80,6 @@ func (r *RNG) Norm() float64 {
 	}
 }
 
-// Exp returns an exponential variate with mean 1.
-func (r *RNG) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 1e-300 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // PowerLaw returns a variate in [lo,hi] distributed as x^(-alpha)
 // (alpha != 1), the classic halo-mass-function shape used by the cosmology
 // generator.

@@ -410,7 +410,7 @@ func (b *builder) run() (int32, int) {
 	// decisions and index permutation over disjoint ranges) and publish
 	// (sequential, task order — node allocation and meter charges, so the
 	// node array and recorder state match the sequential schedule exactly).
-	switchAt := b.opts.Threads * b.opts.ThreadSwitchFactor
+	switchAt := b.opts.Threads * threadSwitchFactor
 	dp := b.charger(PhaseDataParallel)
 	var res []splitRes
 	for len(level) > 0 && len(level) < switchAt {
@@ -492,43 +492,44 @@ func (b *builder) computeLevel(level []task, res []splitRes) {
 	}
 }
 
-// computeSplit chooses a dimension and split point for task tk and
-// partitions the index range, charging work units into the result's event
-// log. p is the pool cooperating on this split's interior passes (nil for a
-// sequential interior). ok=false means the points are indistinguishable.
+// computeSplit runs split on task tk, logging its work units as the
+// result's charge events for the task-ordered replay. p is the pool
+// cooperating on this split's interior passes (nil for a sequential
+// interior).
 func (b *builder) computeSplit(p *par.Pool, tk task) (r splitRes) {
-	idx := b.idx[tk.lo:tk.hi]
-	n := int64(len(idx))
-	charge := func(k simtime.Kind, u int64) {
+	dim, median, mid, ok := b.split(p, b.idx[tk.lo:tk.hi], func(k simtime.Kind, u int64) {
 		r.events = append(r.events, chargeEv{k, u})
-	}
+	})
+	r.dim, r.median, r.mid, r.ok = int32(dim), median, mid, ok
+	return r
+}
 
-	dim := sample.ChooseDimension(b.coords, b.dims, idx, b.opts.DimSampleCap, b.opts.SplitPolicy)
+// split is the one split routine of both build stages: it chooses the split
+// dimension of idx, charges the dimension sample, and partitions idx at the
+// configured split value; when the chosen dimension is constant it tries
+// the remaining dimensions in order. charge receives every work unit. It
+// returns the dimension, the split value and the split position relative to
+// idx; ok=false means the points are indistinguishable (all-identical
+// points become one leaf).
+func (b *builder) split(p *par.Pool, idx []int32, charge func(simtime.Kind, int64)) (dim int, median float32, mid int, ok bool) {
+	dim = sample.ChooseDimension(b.coords, b.dims, idx, b.opts.DimSampleCap, b.opts.SplitPolicy)
 	sampled := b.opts.DimSampleCap
-	if sampled <= 0 || int64(sampled) > n {
-		sampled = int(n)
+	if sampled <= 0 || sampled > len(idx) {
+		sampled = len(idx)
 	}
 	charge(simtime.KSample, int64(sampled))
-
-	mid, median, ok := b.partitionAt(p, idx, dim, charge)
-	if !ok {
-		// The chosen dimension is constant; try the remaining dimensions
-		// before giving up (all-identical points become one leaf).
-		for d := 0; d < b.dims && !ok; d++ {
-			if d == dim {
-				continue
-			}
-			mid, median, ok = b.partitionAt(p, idx, d, charge)
-			if ok {
-				dim = d
-			}
+	if mid, median, ok = b.partitionAt(p, idx, dim, charge); ok {
+		return dim, median, mid, true
+	}
+	for d := 0; d < b.dims; d++ {
+		if d == dim {
+			continue
 		}
-		if !ok {
-			return r
+		if mid, median, ok = b.partitionAt(p, idx, d, charge); ok {
+			return d, median, mid, true
 		}
 	}
-	r.dim, r.median, r.mid, r.ok = int32(dim), median, mid, true
-	return r
+	return 0, 0, 0, false
 }
 
 func (b *builder) newNode() int32 {
@@ -559,7 +560,7 @@ func (b *builder) partitionAt(p *par.Pool, idx []int32, dim int, charge func(sim
 	if n <= quickselectThreshold {
 		return b.exactMedianSplit(p, idx, dim, charge)
 	}
-	s := sample.Sample(b.coords, b.dims, dim, idx, b.opts.MedianSamples)
+	s := sample.Sample(b.coords, b.dims, dim, idx, medianSamples)
 	charge(simtime.KSample, int64(len(s)))
 	iv := sample.NewIntervals(s)
 	if len(iv.Points) <= 1 {
@@ -572,12 +573,8 @@ func (b *builder) partitionAt(p *par.Pool, idx []int32, dim int, charge func(sim
 		// median selection.
 		return b.exactMedianSplit(p, idx, dim, charge)
 	}
-	hist := iv.HistogramPar(b.coords, b.dims, dim, idx, !b.opts.UseBinaryHistogram, p)
-	if b.opts.UseBinaryHistogram {
-		charge(simtime.KHistBinary, int64(n))
-	} else {
-		charge(simtime.KHistScan, int64(n))
-	}
+	hist := iv.HistogramPar(b.coords, b.dims, dim, idx, p)
+	charge(simtime.KHistScan, int64(n))
 	median, _ = iv.ApproxMedian(hist)
 
 	ltEnd, eqEnd := b.partition3(p, idx, dim, median)
@@ -1047,29 +1044,7 @@ func (s *subtreeBuilder) build(lo, hi int32, depth int) (int32, int) {
 		s.nodes[slot] = node{dim: leafDim, start: lo, end: hi}
 		return slot, depth
 	}
-	idx := s.b.idx[lo:hi]
-	n := int64(len(idx))
-	charge := func(k simtime.Kind, u int64) { s.units[k] += u }
-
-	dim := sample.ChooseDimension(s.b.coords, s.b.dims, idx, s.b.opts.DimSampleCap, s.b.opts.SplitPolicy)
-	sampled := s.b.opts.DimSampleCap
-	if sampled <= 0 || int64(sampled) > n {
-		sampled = int(n)
-	}
-	charge(simtime.KSample, int64(sampled))
-
-	mid, median, ok := s.b.partitionAt(nil, idx, dim, charge)
-	if !ok {
-		for d := 0; d < s.b.dims && !ok; d++ {
-			if d == dim {
-				continue
-			}
-			mid, median, ok = s.b.partitionAt(nil, idx, d, charge)
-			if ok {
-				dim = d
-			}
-		}
-	}
+	dim, median, mid, ok := s.b.split(nil, s.b.idx[lo:hi], func(k simtime.Kind, u int64) { s.units[k] += u })
 	if !ok {
 		s.nodes[slot] = node{dim: leafDim, start: lo, end: hi}
 		return slot, depth

@@ -52,9 +52,14 @@ const (
 // "a bucket size of 32 gave the best performance").
 const DefaultBucketSize = 32
 
-// DefaultMedianSamples is the paper's local sample count for approximate
-// median selection (1024 samples for the local kd-tree).
-const DefaultMedianSamples = 1024
+// medianSamples is the paper's local sample count for approximate median
+// selection (1024 samples for the local kd-tree).
+const medianSamples = 1024
+
+// threadSwitchFactor sets the switch to thread-parallel construction: once
+// active branches reach Threads×threadSwitchFactor (paper: "typically,
+// number of threads ×10").
+const threadSwitchFactor = 10
 
 // DefaultDimSampleCap bounds the number of points examined for
 // split-dimension variance ("we take a subset of points to compute
@@ -104,15 +109,9 @@ type Options struct {
 	// SplitValue selects the split-value rule (default SplitSampledMedian,
 	// PANDA's policy; the others reproduce FLANN and ANN for Figure 7).
 	SplitValue SplitValuePolicy
-	// MedianSamples is the sample size for approximate-median histograms;
-	// 0 means DefaultMedianSamples.
-	MedianSamples int
 	// DimSampleCap bounds variance computation; 0 means
 	// DefaultDimSampleCap; negative means use all points.
 	DimSampleCap int
-	// UseBinaryHistogram switches histogram bin location from the paper's
-	// two-level sub-interval scan back to binary search (ablation).
-	UseBinaryHistogram bool
 	// Threads is the simulated thread count (≥1); it controls the
 	// data-parallel/thread-parallel switchover and which thread meter
 	// work is charged to. 0 means 1. It also caps construction's real
@@ -121,10 +120,6 @@ type Options struct {
 	// every setting — only wall-clock time changes. Simulated charges
 	// never depend on the real worker count.
 	Threads int
-	// ThreadSwitchFactor: switch to thread-parallel once active branches
-	// ≥ Threads×factor (paper: "typically, number of threads ×10").
-	// 0 means 10.
-	ThreadSwitchFactor int
 	// Recorder, when non-nil, receives per-phase per-thread work meters.
 	Recorder *simtime.Recorder
 }
@@ -133,17 +128,11 @@ func (o Options) withDefaults() Options {
 	if o.BucketSize <= 0 {
 		o.BucketSize = DefaultBucketSize
 	}
-	if o.MedianSamples <= 0 {
-		o.MedianSamples = DefaultMedianSamples
-	}
 	if o.DimSampleCap == 0 {
 		o.DimSampleCap = DefaultDimSampleCap
 	}
 	if o.Threads <= 0 {
 		o.Threads = 1
-	}
-	if o.ThreadSwitchFactor <= 0 {
-		o.ThreadSwitchFactor = 10
 	}
 	return o
 }
@@ -246,9 +235,6 @@ func (t *Tree) leafRows(n *node) (rows []float32, m int) {
 	lo, hi := int(n.start)*t.dims, int(n.end)*t.dims
 	return t.coords[lo:hi:hi], int(n.end - n.start)
 }
-
-// Options returns the options the tree was built with (defaults resolved).
-func (t *Tree) Options() Options { return t.opts }
 
 // validate walks the tree checking structural invariants; used by tests.
 func (t *Tree) validate() error {

@@ -362,21 +362,6 @@ func TestMaxRangePolicyBuildsValidTree(t *testing.T) {
 	}
 }
 
-func TestBinaryHistogramAblationBuildsSameQualityTree(t *testing.T) {
-	d := data.Cosmo(4000, 14)
-	a := Build(d.Points, nil, Options{})
-	b := Build(d.Points, nil, Options{UseBinaryHistogram: true})
-	// Same split logic, different bin locator: identical trees.
-	if len(a.nodes) != len(b.nodes) {
-		t.Fatal("bin locator changed tree structure")
-	}
-	for i := range a.nodes {
-		if a.nodes[i] != b.nodes[i] {
-			t.Fatal("bin locator changed tree structure")
-		}
-	}
-}
-
 func TestVarianceBeatsRangeOnSkewedData(t *testing.T) {
 	// The paper's ablation (§III-A1): variance-based dimension selection
 	// improves query performance (up to 43% on particle physics data).

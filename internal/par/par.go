@@ -55,27 +55,6 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// ForWorkers invokes fn once per worker, concurrently, with w in
-// [0, Workers()). The worker index is for per-worker scratch only; outputs
-// must not depend on which worker processed what.
-func (p *Pool) ForWorkers(fn func(w int)) {
-	n := p.Workers()
-	if n <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	fn(0)
-	wg.Wait()
-}
-
 // Chunks returns the number of fixed chunks covering [0, n) at the given
 // chunk size: the c passed to a ForChunks callback ranges over [0, Chunks).
 func Chunks(n, chunk int) int {

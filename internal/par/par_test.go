@@ -103,16 +103,3 @@ func TestForEachCoversExactlyOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestForWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	p := NewPool(4)
-	var hits [4]int32
-	p.ForWorkers(func(w int) { atomic.AddInt32(&hits[w], 1) })
-	for w, h := range hits {
-		if h != 1 {
-			t.Fatalf("worker %d ran %d times", w, h)
-		}
-	}
-}

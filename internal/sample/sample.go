@@ -8,13 +8,16 @@
 //     distribution along the chosen dimension with a non-uniform histogram
 //     whose bin boundaries are the sampled values themselves, then picks the
 //     interval point closest to the 50% quantile as the approximate median;
-//   - histogram bin location: both the binary-search baseline and the
-//     two-level "sub-interval scan" the paper introduces (pull every 32nd
-//     interval point into a small sub-interval array, scan it linearly,
-//     then scan the identified 32-wide range), which on Edison gave up to
-//     42% local-construction gains over binary search. Histograms run it
-//     a block of values at a time, as SIMD compare + popcount on amd64
-//     with AVX2 (locate_amd64.s) and as the scalar LocateScan elsewhere.
+//   - histogram bin location: the two-level "sub-interval scan" the paper
+//     introduces (pull every 32nd interval point into a small sub-interval
+//     array, scan it linearly, then scan the identified 32-wide range),
+//     which on Edison gave up to 42% local-construction gains over binary
+//     search. Every build histogram (HistogramPar) runs it a block of
+//     values at a time, as SIMD compare + popcount on amd64 with AVX2
+//     (locate_amd64.s) and as the scalar LocateScan elsewhere. The
+//     binary-search baseline (LocateBinary, useScan=false in Histogram
+//     and HistogramInto) remains for the bin-location ablation and as the
+//     reference the scan is tested against.
 package sample
 
 import (
@@ -307,21 +310,23 @@ func (iv Intervals) HistogramInto(counts []int64, coords []float32, dims, dim in
 // boundaries depend only on len(idx), never on the worker count.
 const histChunk = 8192
 
-// HistogramPar is Histogram with the bin-location pass fanned out over
-// pool's workers: each fixed chunk of idx accumulates a local histogram into
-// its own partial array (the cooperative data-parallel split of §III-A), and
-// the partials are merged in chunk order. Integer counts make the merge
-// exact, so the result is identical to Histogram for any worker count.
-func (iv Intervals) HistogramPar(coords []float32, dims, dim int, idx []int32, useScan bool, pool *par.Pool) []int64 {
+// HistogramPar is the two-level-scan Histogram with the bin-location pass
+// fanned out over pool's workers: each fixed chunk of idx accumulates a
+// local histogram into its own partial array (the cooperative data-parallel
+// split of §III-A), and the partials are merged in chunk order. Integer
+// counts make the merge exact, so the result is identical to Histogram for
+// any worker count. It is the histogram every sampled split of the local
+// and global builds runs.
+func (iv Intervals) HistogramPar(coords []float32, dims, dim int, idx []int32, pool *par.Pool) []int64 {
 	n := len(idx)
 	if pool.Workers() <= 1 || n < 2*histChunk {
-		return iv.Histogram(coords, dims, dim, idx, useScan)
+		return iv.Histogram(coords, dims, dim, idx, true)
 	}
 	bins := iv.Bins()
 	nc := par.Chunks(n, histChunk)
 	partials := make([]int64, nc*bins)
 	pool.ForChunks(n, histChunk, func(c, lo, hi int) {
-		iv.HistogramInto(partials[c*bins:(c+1)*bins], coords, dims, dim, idx[lo:hi], useScan)
+		iv.HistogramInto(partials[c*bins:(c+1)*bins], coords, dims, dim, idx[lo:hi], true)
 	})
 	counts := make([]int64, bins)
 	for c := 0; c < nc; c++ {

@@ -293,8 +293,8 @@ func TestApproxMedianSingleValue(t *testing.T) {
 }
 
 // TestHistogramParMatchesSequential: per-chunk local histograms merged in
-// chunk order must equal the single-pass histogram exactly, for both bin
-// locators and any worker count.
+// chunk order must equal the single-pass scan histogram exactly, for any
+// worker count.
 func TestHistogramParMatchesSequential(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -312,17 +312,15 @@ func TestHistogramParMatchesSequential(t *testing.T) {
 		boundaries[i] = float32(i*11%9973) / 131
 	}
 	iv := NewIntervals(boundaries)
-	for _, useScan := range []bool{true, false} {
-		want := iv.Histogram(coords, dims, dim, idx, useScan)
-		for _, workers := range []int{1, 3, 8} {
-			got := iv.HistogramPar(coords, dims, dim, idx, useScan, par.NewPool(workers))
-			if len(got) != len(want) {
-				t.Fatalf("scan=%v workers=%d: %d bins, want %d", useScan, workers, len(got), len(want))
-			}
-			for b := range want {
-				if got[b] != want[b] {
-					t.Fatalf("scan=%v workers=%d bin %d: %d != %d", useScan, workers, b, got[b], want[b])
-				}
+	want := iv.Histogram(coords, dims, dim, idx, true)
+	for _, workers := range []int{1, 3, 8} {
+		got := iv.HistogramPar(coords, dims, dim, idx, par.NewPool(workers))
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d bins, want %d", workers, len(got), len(want))
+		}
+		for b := range want {
+			if got[b] != want[b] {
+				t.Fatalf("workers=%d bin %d: %d != %d", workers, b, got[b], want[b])
 			}
 		}
 	}

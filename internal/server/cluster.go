@@ -74,34 +74,13 @@ import (
 	"panda/internal/proto"
 )
 
-// Shard is the cluster router's view of one rank's distributed tree:
-// replicated-global-tree routing plus the rank's local shard as a
-// single-node Tree. *panda.DistTree implements it.
-type Shard interface {
-	// Rank is this shard's rank in [0, Ranks).
-	Rank() int
-	// Ranks is the cluster size.
-	Ranks() int
-	// Dims is the point dimensionality.
-	Dims() int
-	// Owner returns the rank whose domain contains q (replicated global
-	// tree; must be identical on every rank).
-	Owner(q []float32) int
-	// RanksWithin appends to out every rank other than exclude whose
-	// domain intersects the ball of squared radius r2 around q (exclude
-	// -1 for none).
-	RanksWithin(q []float32, r2 float32, exclude int, out []int) []int
-	// LocalTree is the rank's local shard with pooled searchers.
-	LocalTree() *panda.Tree
-}
-
 // ClusterConfig configures one rank's cluster server on top of the base
 // serving Config.
 type ClusterConfig struct {
 	Config
 
 	// ServeAddrs lists every rank's serving address in rank order; entry
-	// Shard.Rank() is this server's own address (informational here — the
+	// DistTree.Rank() is this server's own address (informational here — the
 	// caller binds the listener), the rest are dialed as peers.
 	ServeAddrs []string
 
@@ -149,10 +128,12 @@ type ClusterConfig struct {
 	FailThreshold int
 }
 
-// NewCluster returns an unstarted cluster server for this rank's shard.
-// Start it with Serve on a listener bound to ServeAddrs[shard.Rank()], stop
-// with Shutdown. Every rank of the cluster must run one.
-func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
+// NewCluster returns an unstarted cluster server for this rank's shard of
+// the distributed tree: its replicated global tree routes queries, its
+// local shard (LocalTree) answers them. Start it with Serve on a listener
+// bound to ServeAddrs[shard.Rank()], stop with Shutdown. Every rank of the
+// cluster must run one.
+func NewCluster(shard *panda.DistTree, cfg ClusterConfig) (*Server, error) {
 	if got, want := len(cfg.ServeAddrs), shard.Ranks(); got != want {
 		return nil, fmt.Errorf("server: %d serve addresses for %d ranks", got, want)
 	}
@@ -185,7 +166,20 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 		}
 	}
 	rank := shard.Rank()
-	s := New(shard.LocalTree(), cfg.Config)
+	// The default dataset id must be identical on every rank (a client
+	// validates reconnects against it, and a redial may land anywhere), so
+	// its fingerprint is the cluster-wide one over the replicated global
+	// partition tree, not the local shard's content hash.
+	reg := NewRegistry()
+	def, err := reg.add(proto.DefaultDataset, shard.LocalTree())
+	if err != nil {
+		return nil, err
+	}
+	def.id.Fingerprint = shard.Fingerprint()
+	s, err := NewMulti(reg, cfg.Config)
+	if err != nil {
+		return nil, err
+	}
 	// The default tenant holds one slot per shard: this rank's own tree and
 	// every replica it opened; re-replication fills further slots later.
 	s.def.shards = make([]atomic.Pointer[panda.Tree], shard.Ranks())
@@ -199,16 +193,6 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 	if cfg.TotalPoints > 0 {
 		// Clients see the logical cluster-wide tree, not this rank's shard.
 		s.def.id.Points = cfg.TotalPoints
-	}
-	// The default dataset id must be identical on every rank (a client
-	// validates reconnects against it, and a redial may land anywhere), so
-	// the fingerprint cannot be the local shard's content hash. Shards built
-	// through panda.DistTree expose a cluster-wide fingerprint over the
-	// replicated global partition tree; use it when available.
-	if fp, ok := shard.(interface{ Fingerprint() uint64 }); ok {
-		s.def.id.Fingerprint = fp.Fingerprint()
-	} else {
-		s.def.id.Fingerprint = 0
 	}
 	s.rank = int32(rank) // label this rank's trace spans
 	rt := &router{
@@ -249,7 +233,7 @@ func NewCluster(shard Shard, cfg ClusterConfig) (*Server, error) {
 // request runs in its own goroutine (tracked by Server.routes).
 type router struct {
 	s     *Server
-	shard Shard
+	shard *panda.DistTree
 	rank  int
 	peers []*peer // peers[rank] == nil (self)
 

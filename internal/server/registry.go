@@ -56,33 +56,40 @@ func NewRegistry() *Registry {
 // default tenant. The dataset id is derived here: dims and point count from
 // the tree, content fingerprint from its flat state.
 func (r *Registry) Add(name string, tree *panda.Tree) error {
-	if err := proto.ValidateDatasetName(name); err != nil {
+	e, err := r.add(name, tree)
+	if err != nil {
 		return err
 	}
+	e.id.Fingerprint = tree.Fingerprint()
+	return nil
+}
+
+// add registers tree under name as Add does, but leaves the dataset id's
+// fingerprint zero for the caller to set: a cluster rank's default tenant
+// reports the cluster-wide fingerprint, not its shard's content hash.
+func (r *Registry) add(name string, tree *panda.Tree) (*engine, error) {
+	if err := proto.ValidateDatasetName(name); err != nil {
+		return nil, err
+	}
 	if tree == nil {
-		return fmt.Errorf("server: nil tree for dataset %q", name)
+		return nil, fmt.Errorf("server: nil tree for dataset %q", name)
 	}
 	if _, dup := r.tenants[name]; dup {
-		return fmt.Errorf("server: dataset %q registered twice", name)
+		return nil, fmt.Errorf("server: dataset %q registered twice", name)
 	}
 	e := &engine{
 		id: proto.DatasetID{
-			Name:        name,
-			Dims:        tree.Dims(),
-			Points:      int64(tree.Len()),
-			Fingerprint: tree.Fingerprint(),
+			Name:   name,
+			Dims:   tree.Dims(),
+			Points: int64(tree.Len()),
 		},
 		shards: make([]atomic.Pointer[panda.Tree], 1),
 	}
 	e.shards[0].Store(tree)
 	r.tenants[name] = e
 	r.order = append(r.order, name)
-	return nil
+	return e, nil
 }
-
-// Names returns the registered dataset names in registration order (the
-// first is the default tenant).
-func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
 
 // lookup resolves a hello's dataset selector: "" means the default tenant,
 // anything else must be registered. Returns nil for an unknown name.

@@ -152,8 +152,8 @@ const (
 	stateClosed
 )
 
-// Server serves one built tree. Create with New, start with Serve or
-// ListenAndServe, stop with Shutdown. All methods are safe for concurrent
+// Server serves one built tree. Create with New, start with Serve on a
+// listener, stop with Shutdown. All methods are safe for concurrent
 // use. A Server created with NewCluster additionally routes queries across
 // the cluster (see cluster.go); the single-tree dispatch machinery below is
 // shared by both modes.
@@ -291,15 +291,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown. It always returns a

@@ -99,14 +99,11 @@ func parseHeader(data []byte) (header, error) {
 		return h, errCorrupt("unknown split policy %d/%d/%d", splitPolicy, splitValue, useBinaryHist)
 	}
 	h.opts = kdtree.Options{
-		BucketSize:         int(bucketSize),
-		SplitPolicy:        sample.SplitPolicy(splitPolicy),
-		SplitValue:         kdtree.SplitValuePolicy(splitValue),
-		MedianSamples:      int(medianSamples),
-		DimSampleCap:       int(dimSampleCap),
-		UseBinaryHistogram: useBinaryHist == 1,
-		Threads:            int(threads),
-		ThreadSwitchFactor: int(switchFactor),
+		BucketSize:   int(bucketSize),
+		SplitPolicy:  sample.SplitPolicy(splitPolicy),
+		SplitValue:   kdtree.SplitValuePolicy(splitValue),
+		DimSampleCap: int(dimSampleCap),
+		Threads:      int(threads),
 	}
 	return h, nil
 }

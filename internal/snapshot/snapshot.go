@@ -127,6 +127,17 @@ func sectionName(id uint32) string {
 // Header flag bits.
 const flagCluster = 1 << 0
 
+// Retired build-option header fields. Bytes 66 (binary-search histogram
+// flag), 68 (median sample count) and 80 (thread switch factor) recorded
+// construction knobs the builder no longer has; it now always runs the
+// values every tree carried, which the writer keeps emitting so files stay
+// byte-identical. The reader range-checks the bytes and ignores them.
+const (
+	hdrBinaryHist   = 0
+	hdrMedianSample = 1024
+	hdrSwitchFactor = 10
+)
+
 // Decode sanity caps: every count is checked against these before any
 // length arithmetic or allocation, so a hostile header cannot drive an
 // overflow or an absurd make().

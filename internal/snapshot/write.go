@@ -114,9 +114,7 @@ func write(f io.Writer, d *Data) error {
 	}
 	opts := raw.Opts
 	if opts.BucketSize < 0 || opts.BucketSize > maxOptionValue ||
-		opts.MedianSamples < 0 || opts.MedianSamples > maxOptionValue ||
 		opts.Threads < 0 || opts.Threads > maxOptionValue ||
-		opts.ThreadSwitchFactor < 0 || opts.ThreadSwitchFactor > maxOptionValue ||
 		opts.DimSampleCap < -1 || opts.DimSampleCap > maxOptionValue {
 		return fmt.Errorf("snapshot: build options out of serializable range")
 	}
@@ -175,13 +173,11 @@ func write(f io.Writer, d *Data) error {
 	le.PutUint32(hdr[60:], uint32(opts.BucketSize))
 	hdr[64] = uint8(opts.SplitPolicy)
 	hdr[65] = uint8(opts.SplitValue)
-	if opts.UseBinaryHistogram {
-		hdr[66] = 1
-	}
-	le.PutUint32(hdr[68:], uint32(opts.MedianSamples))
+	hdr[66] = hdrBinaryHist
+	le.PutUint32(hdr[68:], hdrMedianSample)
 	le.PutUint32(hdr[72:], uint32(int32(opts.DimSampleCap)))
 	le.PutUint32(hdr[76:], uint32(opts.Threads))
-	le.PutUint32(hdr[80:], uint32(opts.ThreadSwitchFactor))
+	le.PutUint32(hdr[80:], hdrSwitchFactor)
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
